@@ -25,6 +25,7 @@ from .kitti_io import (
     LabeledBox,
     ParseError,
     apply_range_filter,
+    in_eval_range,
     parse_tracking_labels,
 )
 from .motion_loss import DEFAULT_TAU, batch_mcl
@@ -87,12 +88,14 @@ def _load_sequences(gt_path: str, det_path: str):
 
 
 def _boxes_to_preds(
-    boxes: List[LabeledBox], class_ids: Dict[str, int]
+    boxes: List[LabeledBox], class_ids: Dict[str, int], use_range: bool = False
 ) -> List[Box3D]:
-    out = []
-    for b in boxes:
-        if b.class_name in class_ids:
-            out.append(b.to_box3d(class_ids[b.class_name]))
+    """Boxes of the evaluated classes as Box3D, optionally cropped to the
+    evaluation range. Every box is converted, and so validated, before the
+    crop: an out-of-range box with a bad dimension is still a data error."""
+    out = [b.to_box3d(class_ids[b.class_name]) for b in boxes if b.class_name in class_ids]
+    if use_range:
+        out = [p for p in out if in_eval_range(p.center)]
     return out
 
 
@@ -102,21 +105,6 @@ def _parse_classes(args) -> List[str]:
 
 def _parse_thresholds(args) -> List[float]:
     return [float(v) for v in str(resolve(args, "iou")).split(",") if v]
-
-
-def _latency_model(args, n_frames: int) -> streaming_sim.LatencyModel:
-    trace_path = getattr(args, "latency_trace", None)
-    if trace_path is None:
-        trace_path = getattr(args, "_config", {}).get("latency_trace")
-    if trace_path:
-        with open(trace_path) as f:
-            values = [float(line) for line in f if line.strip()]
-        if len(values) < n_frames:
-            raise ParseError(
-                "latency trace has %d entries for %d frames" % (len(values), n_frames)
-            )
-        return streaming_sim.LatencyModel.from_trace(values[:n_frames])
-    return streaming_sim.LatencyModel.constant(float(resolve(args, "latency_ms", float)))
 
 
 def _write_report(out_prefix: str, cells, config: dict, extra: Optional[dict] = None):
@@ -211,21 +199,6 @@ def _filtered_gts(gts: Dict[int, List[LabeledBox]], enabled: bool):
     return {k: apply_range_filter(v) for k, v in gts.items()}
 
 
-def _filter_preds(preds: List[Box3D], enabled: bool) -> List[Box3D]:
-    if not enabled:
-        return preds
-    kept = []
-    for p in preds:
-        x, y, z = p.center
-        if (
-            DEFAULT_EVAL_RANGE["x"][0] <= x <= DEFAULT_EVAL_RANGE["x"][1]
-            and DEFAULT_EVAL_RANGE["y"][0] <= y <= DEFAULT_EVAL_RANGE["y"][1]
-            and DEFAULT_EVAL_RANGE["z"][0] <= z <= DEFAULT_EVAL_RANGE["z"][1]
-        ):
-            kept.append(p)
-    return kept
-
-
 def cmd_eval(args) -> int:
     classes = _parse_classes(args)
     class_ids = {name: i for i, name in enumerate(classes)}
@@ -238,9 +211,7 @@ def cmd_eval(args) -> int:
         for frame in sorted(gts):
             if frame not in dets:
                 missing_frames.append({"sequence": name, "frame": frame})
-            preds = _filter_preds(
-                _boxes_to_preds(dets.get(frame, []), class_ids), use_range
-            )
+            preds = _boxes_to_preds(dets.get(frame, []), class_ids, use_range)
             pairs.append((preds, gts[frame]))
     cells = metrics.evaluate_pairs(pairs, classes, thresholds, class_ids=class_ids)
     config = _resolved_config(args, mode="offline")
@@ -249,79 +220,79 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _stream_pairs(args, name, gts, dets, class_ids, use_range):
-    n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
-    lat = _latency_model(args, n_frames)
+def _stream_sequences(args, class_ids: Dict[str, int]):
+    """Yield (schedule, outputs, gts) per sequence.
+
+    The schedule simulates the worker on the sequence's frames; outputs are
+    range-filtered Box3D detections per frame and gts the range-filtered
+    ground truth. Every sequence uses the first n_frames entries of the one
+    latency trace.
+    """
+    use_range = not args.no_range_filter
     interval = float(resolve(args, "interval_ms", float))
-    schedule = streaming_sim.build_schedule(
-        n_frames, interval, lat, skip_stale=bool(args.skip_stale)
+    trace = None
+    trace_path = resolve(args, "latency_trace")
+    if trace_path:
+        with open(trace_path) as f:
+            trace = [float(line) for line in f if line.strip()]
+    else:
+        lat = streaming_sim.LatencyModel.constant(float(resolve(args, "latency_ms", float)))
+    for _, gts, dets in _load_sequences(args.gt, args.det):
+        n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
+        if trace is not None:
+            if len(trace) < n_frames:
+                raise ParseError(
+                    "latency trace has %d entries for %d frames" % (len(trace), n_frames)
+                )
+            lat = streaming_sim.LatencyModel.from_trace(trace[:n_frames])
+        schedule = streaming_sim.build_schedule(
+            n_frames, interval, lat, skip_stale=bool(args.skip_stale)
+        )
+        outputs = {k: _boxes_to_preds(v, class_ids, use_range) for k, v in dets.items()}
+        yield schedule, outputs, _filtered_gts(gts, use_range)
+
+
+def _write_stream_report(args, mode: str, pairs, classes, class_ids) -> None:
+    cells = metrics.sap_report(pairs, classes, _parse_thresholds(args), class_ids=class_ids)
+    config = _resolved_config(
+        args,
+        mode=mode,
+        interval_ms=float(resolve(args, "interval_ms", float)),
+        latency=(
+            "trace"
+            if resolve(args, "latency_trace")
+            else float(resolve(args, "latency_ms", float))
+        ),
+        skip_stale=bool(args.skip_stale),
     )
-    outputs = {
-        k: _filter_preds(_boxes_to_preds(v, class_ids), use_range)
-        for k, v in dets.items()
-    }
-    gts = _filtered_gts(gts, use_range)
-    return streaming_sim.pair_stream(schedule, outputs, gts), schedule, lat
+    _write_report(args.output, cells, config)
 
 
 def cmd_stream_eval(args) -> int:
     classes = _parse_classes(args)
     class_ids = {name: i for i, name in enumerate(classes)}
-    thresholds = _parse_thresholds(args)
-    use_range = not args.no_range_filter
     all_pairs = []
-    lat_desc = None
-    for name, gts, dets in _load_sequences(args.gt, args.det):
-        pairs, _, lat = _stream_pairs(args, name, gts, dets, class_ids, use_range)
-        all_pairs.extend(pairs)
-        lat_desc = lat.constant_ms if lat.kind == "constant" else "trace"
-    cells = metrics.sap_report(all_pairs, classes, thresholds, class_ids=class_ids)
-    config = _resolved_config(
-        args,
-        mode="streaming",
-        interval_ms=float(resolve(args, "interval_ms", float)),
-        latency=lat_desc,
-        skip_stale=bool(args.skip_stale),
-    )
-    _write_report(args.output, cells, config)
-    _write_pr_curves(args.output, all_pairs, classes, thresholds, class_ids)
+    for schedule, outputs, gts in _stream_sequences(args, class_ids):
+        all_pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
+    _write_stream_report(args, "streaming", all_pairs, classes, class_ids)
+    _write_pr_curves(args.output, all_pairs, classes, _parse_thresholds(args), class_ids)
     return 0
 
 
 def cmd_streamer(args) -> int:
     classes = _parse_classes(args)
     class_ids = {name: i for i, name in enumerate(classes)}
-    id_to_class = {i: n for n, i in class_ids.items()}
-    thresholds = _parse_thresholds(args)
-    use_range = not args.no_range_filter
-    interval = float(resolve(args, "interval_ms", float))
     all_pairs = []
     dump_lines = []
-    lat_desc = None
-    for name, gts, dets in _load_sequences(args.gt, args.det):
-        n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
-        lat = _latency_model(args, n_frames)
-        lat_desc = lat.constant_ms if lat.kind == "constant" else "trace"
-        schedule = streaming_sim.build_schedule(
-            n_frames, interval, lat, skip_stale=bool(args.skip_stale)
-        )
-        gts = _filtered_gts(gts, use_range)
-        det_boxes = {
-            k: _filter_preds(_boxes_to_preds(v, class_ids), use_range)
-            for k, v in dets.items()
-        }
+    for schedule, det_boxes, gts in _stream_sequences(args, class_ids):
         trackers = {c: forecast.StreamerTracker() for c in classes}
-        processed = [ev for ev in schedule.events if ev.processed]
-        pi = 0
         last_world_ms = None
-        for j in range(n_frames):
-            t_query = j * interval
-            while pi < len(processed) and processed[pi].finish_ms <= t_query:
-                ev = processed[pi]
+        for j, t_query, finished in streaming_sim.finished_by_instant(schedule):
+            for ev in finished:
                 dt_ms = (
                     ev.arrival_ms - last_world_ms
                     if last_world_ms is not None
-                    else interval
+                    else schedule.frame_interval_ms
                 )
                 frame_dets = det_boxes.get(ev.frame, [])
                 for cls_name, tracker in trackers.items():
@@ -330,7 +301,6 @@ def cmd_streamer(args) -> int:
                         [b for b in frame_dets if b.class_id == cid], dt_ms / 1000.0
                     )
                 last_world_ms = ev.arrival_ms
-                pi += 1
             if last_world_ms is None:
                 all_pairs.append(([], gts.get(j, [])))
                 continue
@@ -347,7 +317,7 @@ def cmd_streamer(args) -> int:
                     % (
                         j,
                         p.track_id if p.track_id is not None else -1,
-                        id_to_class.get(p.class_id, "Unknown"),
+                        classes[p.class_id],
                         h,
                         w,
                         l,
@@ -360,15 +330,7 @@ def cmd_streamer(args) -> int:
                 )
     with open(args.output + "_forecasts.txt", "w") as f:
         f.write("\n".join(dump_lines) + ("\n" if dump_lines else ""))
-    cells = metrics.sap_report(all_pairs, classes, thresholds, class_ids=class_ids)
-    config = _resolved_config(
-        args,
-        mode="streamer",
-        interval_ms=interval,
-        latency=lat_desc,
-        skip_stale=bool(args.skip_stale),
-    )
-    _write_report(args.output, cells, config)
+    _write_stream_report(args, "streamer", all_pairs, classes, class_ids)
     return 0
 
 
@@ -460,7 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_stream_opts(p):
         p.add_argument("--interval-ms", type=float, dest="interval_ms")
         p.add_argument("--latency-ms", type=float, dest="latency_ms")
-        p.add_argument("--latency-trace", dest="latency_trace")
+        p.add_argument(
+            "--latency-trace",
+            dest="latency_trace",
+            help="per-frame latencies in ms, one per line; every sequence uses "
+            "its first n_frames entries and the report's latency is \"trace\"",
+        )
         p.add_argument("--skip-stale", action="store_true")
 
     p = sub.add_parser("eval", help="offline AP: frame k predictions vs frame k GT")

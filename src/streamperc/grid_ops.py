@@ -8,6 +8,7 @@ size. Resizing uses align-corners coordinate mapping.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -212,13 +213,18 @@ def write_fgrd(path, g: np.ndarray) -> None:
 
 def read_fgrd(path) -> np.ndarray:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != FGRD_MAGIC:
-            raise ValueError("not an FGRD file: bad magic %r" % magic)
-        version, h, w, c = struct.unpack("<4I", f.read(16))
+        header = f.read(20)
+        if header[:4] != FGRD_MAGIC:
+            raise ValueError("not an FGRD file: bad magic %r" % header[:4])
+        if len(header) < 20:
+            raise ValueError("truncated FGRD header: %d of 20 bytes" % len(header))
+        version, h, w, c = struct.unpack("<4I", header[4:])
         if version != FGRD_VERSION:
             raise ValueError("unsupported FGRD version %d" % version)
-        data = np.frombuffer(f.read(h * w * c * 4), dtype="<f4")
-        if data.size != h * w * c:
-            raise ValueError("truncated FGRD payload")
+        n_bytes = h * w * c * 4
+        if os.fstat(f.fileno()).st_size < 20 + n_bytes:
+            raise ValueError(
+                "truncated FGRD payload: header claims %dx%dx%d floats" % (h, w, c)
+            )
+        data = np.frombuffer(f.read(n_bytes), dtype="<f4")
     return data.reshape(h, w, c).astype(float)

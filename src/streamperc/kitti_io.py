@@ -7,7 +7,8 @@ Ground-truth files carry 17 fields, detection dumps 18 (trailing score).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D
@@ -75,23 +76,25 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
                 "line %d: expected >=17 fields, got %d" % (lineno, len(fields))
             )
         try:
-            box = LabeledBox(
-                frame_index=int(fields[0]),
-                track_id=int(fields[1]),
-                class_name=fields[2],
-                truncation=float(fields[3]),
-                occlusion=int(float(fields[4])),
-                alpha=float(fields[5]),
-                bbox2d=tuple(float(v) for v in fields[6:10]),
-                dims=tuple(float(v) for v in fields[10:13]),
-                location=tuple(float(v) for v in fields[13:16]),
-                rotation_y=float(fields[16]),
-                score=float(fields[17]) if len(fields) >= 18 else None,
-            )
+            frame, track_id = int(fields[0]), int(fields[1])
+            nums = [float(v) for v in fields[3:18]]
         except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
             raise ParseError("line %d: non-numeric field (%s)" % (lineno, exc)) from exc
+        if not all(map(math.isfinite, nums)):
+            raise ParseError("line %d: non-finite numeric field" % lineno)
+        box = LabeledBox(
+            frame_index=frame,
+            track_id=track_id,
+            class_name=fields[2],
+            truncation=nums[0],
+            occlusion=int(nums[1]),
+            alpha=nums[2],
+            bbox2d=tuple(nums[3:7]),
+            dims=tuple(nums[7:10]),
+            location=tuple(nums[10:13]),
+            rotation_y=nums[13],
+            score=nums[14] if len(nums) > 14 else None,
+        )
         frames.setdefault(box.frame_index, []).append(box)
     return frames
 
@@ -138,6 +141,16 @@ def split_sequences(frame_count: int, chunk: int = 40) -> List[SequenceSplit]:
     return splits
 
 
+def in_eval_range(center: Sequence[float], rng: dict = DEFAULT_EVAL_RANGE) -> bool:
+    """True when the (x, y, z) center lies inside the closed evaluation range."""
+    x, y, z = center
+    return (
+        rng["x"][0] <= x <= rng["x"][1]
+        and rng["y"][0] <= y <= rng["y"][1]
+        and rng["z"][0] <= z <= rng["z"][1]
+    )
+
+
 def apply_range_filter(
     boxes: Sequence[LabeledBox], eval_range: Optional[dict] = None
 ) -> List[LabeledBox]:
@@ -147,13 +160,4 @@ def apply_range_filter(
         lo, hi = rng[axis]
         if lo > hi:
             raise ValueError("range min > max for axis %s" % axis)
-    out = []
-    for b in boxes:
-        x, y, z = b.location
-        if (
-            rng["x"][0] <= x <= rng["x"][1]
-            and rng["y"][0] <= y <= rng["y"][1]
-            and rng["z"][0] <= z <= rng["z"][1]
-        ):
-            out.append(b)
-    return out
+    return [b for b in boxes if in_eval_range(b.location, rng)]

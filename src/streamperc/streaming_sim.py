@@ -10,32 +10,29 @@ latency 1.5x the interval every other frame is processed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass
 class LatencyModel:
-    kind: str = "constant"  # "constant" or "per_frame_trace"
     constant_ms: float = 0.0
-    trace: Optional[List[float]] = None
+    trace: Optional[List[float]] = None  # per-frame latencies; None means constant
 
     @classmethod
     def constant(cls, ms: float) -> "LatencyModel":
         if ms < 0:
             raise ValueError("latency must be >= 0")
-        return cls(kind="constant", constant_ms=ms)
+        return cls(constant_ms=ms)
 
     @classmethod
     def from_trace(cls, values: Sequence[float]) -> "LatencyModel":
         values = [float(v) for v in values]
         if any(v < 0 for v in values):
             raise ValueError("latency must be >= 0")
-        return cls(kind="per_frame_trace", trace=values)
+        return cls(trace=values)
 
     def latency(self, frame: int) -> float:
-        if self.kind == "constant":
-            return self.constant_ms
-        return self.trace[frame]
+        return self.constant_ms if self.trace is None else self.trace[frame]
 
 
 @dataclass
@@ -67,7 +64,7 @@ def build_schedule(
         raise ValueError("n_frames must be >= 1")
     if interval_ms <= 0:
         raise ValueError("interval_ms must be > 0")
-    if lat.kind == "per_frame_trace" and (lat.trace is None or len(lat.trace) != n_frames):
+    if lat.trace is not None and len(lat.trace) != n_frames:
         raise ValueError("latency trace length must equal the frame count")
     events = []
     available = 0.0
@@ -92,6 +89,25 @@ def latest_output_at(s: StreamSchedule, t_query_ms: float) -> Optional[int]:
     return best
 
 
+def finished_by_instant(
+    s: StreamSchedule,
+) -> Iterator[Tuple[int, float, List[FrameEvent]]]:
+    """Yield (j, t_j, processed frames finishing in (t_{j-1}, t_j]) per instant.
+
+    Ground-truth instant j is t_j = j*interval for every frame of the
+    schedule. One forward pointer suffices because finish times never
+    decrease along the schedule.
+    """
+    processed = [ev for ev in s.events if ev.processed]
+    i = 0
+    for j in range(len(s.events)):
+        t_query = j * s.frame_interval_ms
+        first = i
+        while i < len(processed) and processed[i].finish_ms <= t_query:
+            i += 1
+        yield j, t_query, processed[first:i]
+
+
 def pair_stream(
     s: StreamSchedule,
     outputs: Dict[int, list],
@@ -103,9 +119,10 @@ def pair_stream(
     prediction set.
     """
     pairs = []
-    for j in range(len(s.events)):
-        t_query = j * s.frame_interval_ms
-        k = latest_output_at(s, t_query)
-        preds = outputs.get(k, []) if k is not None else []
+    latest = None
+    for j, _, finished in finished_by_instant(s):
+        if finished:
+            latest = finished[-1].frame
+        preds = outputs.get(latest, []) if latest is not None else []
         pairs.append((list(preds), list(gts.get(j, []))))
     return pairs

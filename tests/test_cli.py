@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -189,6 +190,29 @@ class TestStreamer:
                         if r["class"] == "Car" and r["kind"] == "bev" and r["level"] == "easy"][0]
         assert ap(tmp_path / "fc.json") > ap(tmp_path / "stale.json")
 
+    def test_skip_stale_forecasts_exact_after_second_output(self, tmp_path):
+        # latency 1.5x the interval with skip-stale: frames 0, 2, 4, ... are
+        # processed and finish at 150, 350, 550, ... ms. Instants 0 and 1 have
+        # no output; 2 and 3 see only frame 0 (no velocity yet); from instant
+        # 4 on, frames 0 and 2 give the exact velocity of the 0.5 m/frame car.
+        world = {f: [make_gt(frame=f, track_id=0, x=0.5 * f, z=20.0)] for f in range(10)}
+        dets = {f: [make_gt(frame=f, track_id=0, x=0.5 * f, z=20.0, score=0.9)]
+                for f in range(10)}
+        gt = write_labels(tmp_path / "gt.txt", world)
+        det = write_labels(tmp_path / "det.txt", dets)
+        out = str(tmp_path / "fc")
+        assert cli.main(["streamer", "--gt", gt, "--det", det, "--output", out,
+                         "--latency-ms", "150", "--skip-stale"]) == 0
+        rows = [line.split() for line in
+                (tmp_path / "fc_forecasts.txt").read_text().splitlines()]
+        assert [int(r[0]) for r in rows] == list(range(2, 10))
+        x_at = {int(r[0]): float(r[13]) for r in rows}
+        assert x_at[2] == x_at[3] == 0.0
+        for j in range(4, 10):
+            assert x_at[j] == pytest.approx(0.5 * j, abs=1e-6)
+        config = json.loads((tmp_path / "fc.json").read_text())["config"]
+        assert config["latency"] == 150.0 and config["skip_stale"] is True
+
 
 class TestFlow:
     def test_translation_recovery(self, tmp_path, capsys):
@@ -210,6 +234,22 @@ class TestFlow:
         summary = json.loads((tmp_path / "flow.json").read_text())
         assert summary["flow_shape"] == [16, 16, 2]
         assert "flow_max_abs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"FGRD\x01\x00\x00", id="truncated-header"),
+        pytest.param(b"FGRD" + struct.pack("<4I", 1, 8, 8, 4) + b"\x00" * 40,
+                     id="header-claims-more-data"),
+        pytest.param(b"FGRD" + struct.pack("<4I", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1),
+                     id="header-claims-beyond-any-file"),
+    ])
+    def test_corrupt_grid_is_data_error(self, tmp_path, capsys, raw):
+        write_fgrd(str(tmp_path / "cur.fgrd"), textured_grid(8, 8, 4))
+        (tmp_path / "bad.fgrd").write_bytes(raw)
+        rc = cli.main(["flow", "--current", str(tmp_path / "cur.fgrd"),
+                       "--previous", str(tmp_path / "bad.fgrd"),
+                       "--output", str(tmp_path / "o")])
+        assert rc == 3
+        assert "truncated FGRD" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path):
         write_fgrd(str(tmp_path / "cur.fgrd"), textured_grid(8, 8, 2))
@@ -290,6 +330,33 @@ class TestConfigPrecedence:
         chain.write_text("conv 1 1 1 8\n")
         assert cli.main(["--config", str(cfg), "lkbb", "--chain", str(chain)]) == 3
         capsys.readouterr()
+
+
+class TestBadLabels:
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"h": float("nan")}, id="nan-dims"),
+        pytest.param({"x": float("inf")}, id="inf-location"),
+        pytest.param({"score": float("nan")}, id="nan-score"),
+    ])
+    def test_non_finite_field_is_data_error(self, tmp_path, capsys, bad):
+        gt = write_labels(tmp_path / "gt.txt", simple_world(2))
+        dets = simple_world(2, score=0.9)
+        dets[1][0] = make_gt(frame=1, z=10.0, **{"score": 0.9, **bad})
+        det = write_labels(tmp_path / "det.txt", dets)
+        rc = cli.main(["eval", "--gt", gt, "--det", det, "--output", str(tmp_path / "r")])
+        assert rc == 3
+        assert "line 3: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    def test_out_of_range_zero_dim_is_data_error(self, tmp_path, capsys, command):
+        # the range crop would drop this box, but it is still malformed
+        gt = write_labels(tmp_path / "gt.txt", simple_world(2))
+        dets = simple_world(2, score=0.9)
+        dets[0].append(make_gt(track_id=5, z=80.0, h=0.0, score=0.9))
+        det = write_labels(tmp_path / "det.txt", dets)
+        rc = cli.main([command, "--gt", gt, "--det", det, "--output", str(tmp_path / "r")])
+        assert rc == 3
+        assert "dims must be positive" in capsys.readouterr().err
 
 
 class TestUsageErrors:

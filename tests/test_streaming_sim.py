@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamperc.streaming_sim import (
     LatencyModel,
     build_schedule,
+    finished_by_instant,
     latest_output_at,
     pair_stream,
 )
@@ -121,3 +124,44 @@ class TestPairStream:
         pairs = pair_stream(s, {k: ["p"] for k in range(3)}, {k: ["g"] for k in range(3)})
         assert pairs[0][0] == []
         assert pairs[1][0] == []  # first finish at 150 > 100
+
+
+@st.composite
+def schedules(draw):
+    """Random schedules, constant or per-frame, with or without skip-stale.
+
+    Latencies are often whole quarters of the interval, so finish times tie
+    with ground-truth instants; zero latency ties every frame at arrival.
+    """
+    n = draw(st.integers(1, 25))
+    interval = draw(st.sampled_from([100.0, 33.3]))
+    latency = st.one_of(
+        st.integers(0, 12).map(lambda q: q * interval / 4),
+        st.floats(0.0, 4 * interval, allow_nan=False),
+    )
+    if draw(st.booleans()):
+        lat = LatencyModel.from_trace(draw(st.lists(latency, min_size=n, max_size=n)))
+    else:
+        lat = LatencyModel.constant(draw(latency))
+    return build_schedule(n, interval, lat, skip_stale=draw(st.booleans()))
+
+
+class TestPairingWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(schedules())
+    def test_matches_scan_oracle(self, s):
+        # the full scan of latest_output_at is the reference for the walk
+        pairs = pair_stream(s, {k: [k] for k in range(len(s.events))}, {})
+        for j, (preds, _) in enumerate(pairs):
+            k = latest_output_at(s, j * s.frame_interval_ms)
+            assert preds == ([] if k is None else [k])
+        t_last = (len(s.events) - 1) * s.frame_interval_ms
+        walked = [ev.frame for _, _, done in finished_by_instant(s) for ev in done]
+        assert walked == [
+            ev.frame for ev in s.events if ev.processed and ev.finish_ms <= t_last
+        ]
+
+    def test_zero_latency_finishes_at_arrival(self):
+        s = build_schedule(3, 100.0, LatencyModel.constant(0.0))
+        got = [(j, t, [ev.frame for ev in done]) for j, t, done in finished_by_instant(s)]
+        assert got == [(0, 0.0, [0]), (1, 100.0, [1]), (2, 200.0, [2])]
