@@ -149,37 +149,14 @@ def _write_report(out_prefix: str, cells, config: dict, extra: Optional[dict] = 
 
 def _write_pr_curves(out_prefix: str, pairs, classes, thresholds, class_ids):
     """Gnuplot-compatible dump: blank-line separated blocks of recall precision."""
-    path = out_prefix + "_pr.dat"
-    with open(path, "w") as f:
-        for cls_name in classes:
-            cid = class_ids[cls_name]
-            for kind in ("bev", "3d"):
-                for thr in thresholds:
-                    for level in (
-                        metrics.Difficulty.EASY,
-                        metrics.Difficulty.MODERATE,
-                        metrics.Difficulty.HARD,
-                    ):
-                        records = []
-                        n_gt = 0
-                        for preds, gts in pairs:
-                            res = metrics.match_frame(
-                                [p for p in preds if p.class_id == cid],
-                                gts,
-                                thr,
-                                level,
-                                kind,
-                                class_name=cls_name,
-                            )
-                            records.extend(res.det_records)
-                            n_gt += res.n_in_scope_gt
-                        f.write(
-                            "# %s %s iou=%.2f %s\n"
-                            % (cls_name, kind, thr, level.name.lower())
-                        )
-                        for score, prec, rec in metrics.pr_curve(records, n_gt):
-                            f.write("%.6f %.6f %.6f\n" % (rec, prec, score))
-                        f.write("\n\n")
+    with open(out_prefix + "_pr.dat", "w") as f:
+        for cls_name, kind, thr, level, records, n_gt in metrics.cell_records(
+            pairs, classes, thresholds, class_ids=class_ids
+        ):
+            f.write("# %s %s iou=%.2f %s\n" % (cls_name, kind, thr, level.name.lower()))
+            for score, prec, rec in metrics.pr_curve(records, n_gt):
+                f.write("%.6f %.6f %.6f\n" % (rec, prec, score))
+            f.write("\n\n")
 
 
 def _resolved_config(args, **extra) -> dict:
@@ -235,25 +212,27 @@ def _stream_sequences(args, class_ids: Dict[str, int]):
     if trace_path:
         with open(trace_path) as f:
             trace = [float(line) for line in f if line.strip()]
-    else:
-        lat = streaming_sim.LatencyModel.constant(float(resolve(args, "latency_ms", float)))
     for _, gts, dets in _load_sequences(args.gt, args.det):
         n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
-        if trace is not None:
-            if len(trace) < n_frames:
-                raise ParseError(
-                    "latency trace has %d entries for %d frames" % (len(trace), n_frames)
-                )
-            lat = streaming_sim.LatencyModel.from_trace(trace[:n_frames])
+        if trace is None:
+            latencies = [float(resolve(args, "latency_ms", float))] * n_frames
+        elif len(trace) < n_frames:
+            raise ParseError(
+                "latency trace has %d entries for %d frames" % (len(trace), n_frames)
+            )
+        else:
+            latencies = trace[:n_frames]
         schedule = streaming_sim.build_schedule(
-            n_frames, interval, lat, skip_stale=bool(args.skip_stale)
+            n_frames, interval, latencies, skip_stale=bool(args.skip_stale)
         )
         outputs = {k: _boxes_to_preds(v, class_ids, use_range) for k, v in dets.items()}
         yield schedule, outputs, _filtered_gts(gts, use_range)
 
 
 def _write_stream_report(args, mode: str, pairs, classes, class_ids) -> None:
-    cells = metrics.sap_report(pairs, classes, _parse_thresholds(args), class_ids=class_ids)
+    if not pairs:
+        raise ParseError("no sequences to evaluate")
+    cells = metrics.evaluate_pairs(pairs, classes, _parse_thresholds(args), class_ids=class_ids)
     config = _resolved_config(
         args,
         mode=mode,

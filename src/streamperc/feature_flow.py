@@ -13,9 +13,6 @@ t-1 and t must yield a pseudo-next equal to the grid translated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
 import numpy as np
 
 from .grid_ops import ConvSpec, as_grid, bilinear_resize, bilinear_sample, conv2d, max_pool
@@ -27,31 +24,19 @@ DEFAULT_MAX_DISPLACEMENT = 3
 DEFAULT_DOWNSAMPLE_RATIO = 2
 
 
-@dataclass
-class ShiftSet:
-    d: int
-    shifts: List[Tuple[int, int]]
-
-    @classmethod
-    def build(cls, d: int) -> "ShiftSet":
-        if d < 0:
-            raise ValueError("max displacement must be >= 0")
-        shifts = [(r, c) for r in range(-d, d + 1) for c in range(-d, d + 1)]
-        return cls(d=d, shifts=shifts)
-
-    def __len__(self):
-        return len(self.shifts)
+def shift_set(d: int) -> np.ndarray:
+    """All (2d+1)^2 integer shifts in [-d, d]^2 as a (D, 2) array,
+    lexicographic order."""
+    if d < 0:
+        raise ValueError("max displacement must be >= 0")
+    return np.array([(r, c) for r in range(-d, d + 1) for c in range(-d, d + 1)])
 
 
-def shift_set(d: int) -> ShiftSet:
-    """All (2d+1)^2 integer shifts in [-d, d]^2, lexicographic order."""
-    return ShiftSet.build(d)
-
-
-def similarity_volume(f_t: np.ndarray, f_tm1: np.ndarray, s: ShiftSet) -> np.ndarray:
+def similarity_volume(f_t: np.ndarray, f_tm1: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Cosine similarity of each current pixel against shifted previous pixels.
 
-    Output shape (H, W, len(s)); slice k corresponds to s.shifts[k].
+    Output shape (H, W, D) for a (D, 2) shift array; slice k corresponds to
+    shifts[k].
     Out-of-grid shifted coordinates get -inf; zero-norm vectors on either
     side give similarity 0.
     """
@@ -62,8 +47,8 @@ def similarity_volume(f_t: np.ndarray, f_tm1: np.ndarray, s: ShiftSet) -> np.nda
     h, w, _ = f_t.shape
     norm_t = np.linalg.norm(f_t, axis=2)
     norm_p = np.linalg.norm(f_tm1, axis=2)
-    vol = np.full((h, w, len(s)), INVALID_SIMILARITY)
-    for k, (us, vs) in enumerate(s.shifts):
+    vol = np.full((h, w, len(shifts)), INVALID_SIMILARITY)
+    for k, (us, vs) in enumerate(shifts.tolist()):
         r_lo, r_hi = max(0, -us), min(h, h - us)
         c_lo, c_hi = max(0, -vs), min(w, w - vs)
         if r_lo >= r_hi or c_lo >= c_hi:
@@ -77,7 +62,7 @@ def similarity_volume(f_t: np.ndarray, f_tm1: np.ndarray, s: ShiftSet) -> np.nda
     return vol
 
 
-def argmax_flow(vol: np.ndarray, s: ShiftSet) -> np.ndarray:
+def argmax_flow(vol: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Per-pixel motion vector of the highest-similarity shift, (H, W, 2).
 
     Ties go to the smallest L-inf shift magnitude, then lexicographic
@@ -85,9 +70,8 @@ def argmax_flow(vol: np.ndarray, s: ShiftSet) -> np.ndarray:
     best shift.
     """
     h, w, ds = vol.shape
-    if ds != len(s):
+    if ds != len(shifts):
         raise ValueError("volume depth does not match shift set")
-    shifts = np.asarray(s.shifts)  # (D, 2)
     linf = np.abs(shifts).max(axis=1)
     # Rank shifts so argmax over the reordered volume realizes the tie-break.
     order = np.lexsort((np.arange(ds), linf))
@@ -116,11 +100,11 @@ def compute_flow(
     if r_d < 1:
         raise ValueError("downsample ratio must be >= 1")
     h, w, _ = f_t.shape
-    s = shift_set(d)
+    shifts = shift_set(d)
     pooled_t = max_pool(f_t, r_d)
     pooled_p = max_pool(f_tm1, r_d)
-    vol = similarity_volume(pooled_t, pooled_p, s)
-    flow = argmax_flow(vol, s)
+    vol = similarity_volume(pooled_t, pooled_p, shifts)
+    flow = argmax_flow(vol, shifts)
     if r_d > 1:
         flow = bilinear_resize(flow, h, w)
         flow = flow * r_d  # low-res pixel units -> full-res pixel units

@@ -169,6 +169,10 @@ def parse_chain(text: str) -> List[LayerSpec]:
             raise ValueError("line %d: unknown layer kind %r" % (lineno, kind))
         k, s, d, cin = (int(v) for v in parts[1:5])
         cout = int(parts[5]) if len(parts) == 6 else cin
+        if min(k, s, d, cin, cout) < 1:
+            raise ValueError(
+                "line %d: kernel, stride, dilation and channels must be >= 1" % lineno
+            )
         if kind == "dwconv" and cout != cin:
             raise ValueError("line %d: depthwise layers keep channel count" % lineno)
         chain.append(LayerSpec(kind, (k, k), s, d, cin, cout))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D, iou_bev, iou_3d
 from .kitti_io import LabeledBox
@@ -162,21 +162,19 @@ class ApCell:
     ap: Optional[float]
 
 
-def evaluate_pairs(
+def cell_records(
     pairs: Sequence[Tuple[Sequence[Box3D], Sequence[LabeledBox]]],
     classes: Sequence[str] = DEFAULT_CLASSES,
     iou_thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
     iou_kinds: Sequence[str] = ("bev", "3d"),
     class_ids: Optional[Dict[str, int]] = None,
-) -> List[ApCell]:
-    """AP table over (prediction, GT) pairs: one cell per
-    (class, kind, threshold, level).
+) -> Iterator[Tuple[str, str, float, Difficulty, List[Tuple[float, str]], int]]:
+    """Yield (class, kind, threshold, level, records, n_gt) per AP cell.
 
-    The pairing is the caller's concern: frame-aligned pairs give offline
-    AP, stream pairs give sAP.
+    Each cell matches every pair's predictions of the class against its
+    ground truth; records and n_gt are the totals over all pairs.
     """
     ids = class_ids or {name: i for i, name in enumerate(classes)}
-    cells = []
     for cls_name in classes:
         cid = ids[cls_name]
         for kind in iou_kinds:
@@ -191,26 +189,25 @@ def evaluate_pairs(
                         )
                         records.extend(res.det_records)
                         n_gt += res.n_in_scope_gt
-                    cells.append(
-                        ApCell(
-                            class_name=cls_name,
-                            iou_kind=kind,
-                            iou_threshold=thr,
-                            level=level.name.lower(),
-                            ap=ap_r40(records, n_gt),
-                        )
-                    )
-    return cells
+                    yield cls_name, kind, thr, level, records, n_gt
 
 
-def sap_report(
-    pairs,
+def evaluate_pairs(
+    pairs: Sequence[Tuple[Sequence[Box3D], Sequence[LabeledBox]]],
     classes: Sequence[str] = DEFAULT_CLASSES,
     iou_thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
     iou_kinds: Sequence[str] = ("bev", "3d"),
     class_ids: Optional[Dict[str, int]] = None,
 ) -> List[ApCell]:
-    """sAP table: identical machinery to offline AP, stream pairing."""
-    if not pairs:
-        raise ValueError("stream pairs must be nonempty")
-    return evaluate_pairs(pairs, classes, iou_thresholds, iou_kinds, class_ids)
+    """AP table over (prediction, GT) pairs: one cell per
+    (class, kind, threshold, level).
+
+    The pairing is the caller's concern: frame-aligned pairs give offline
+    AP, stream pairs give sAP.
+    """
+    return [
+        ApCell(cls_name, kind, thr, level.name.lower(), ap_r40(records, n_gt))
+        for cls_name, kind, thr, level, records, n_gt in cell_records(
+            pairs, classes, iou_thresholds, iou_kinds, class_ids
+        )
+    ]

@@ -12,7 +12,6 @@ normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,17 +20,6 @@ from .geometry import Box3D, iou_matrix
 
 DEFAULT_TAU = 0.8
 DEFAULT_LAMBDA = 0.5
-
-
-@dataclass
-class PoseOffset:
-    dx: float
-    dy: float
-    dz: float
-    dtheta: float  # sine of the angle difference, in [-1, 1]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dz, self.dtheta])
 
 
 def smooth_l1(x: float, beta: float = 1.0) -> Tuple[float, float]:
@@ -49,14 +37,9 @@ def pose_of(box: Box3D) -> Tuple[float, float, float, float]:
     return (x, y, z, box.yaw)
 
 
-def pose_offset(a: Sequence[float], b: Sequence[float]) -> PoseOffset:
-    """Offset a - b: displacement plus sine of the yaw difference."""
-    return PoseOffset(
-        dx=a[0] - b[0],
-        dy=a[1] - b[1],
-        dz=a[2] - b[2],
-        dtheta=math.sin(a[3] - b[3]),
-    )
+def pose_offset(a: Sequence[float], b: Sequence[float]) -> np.ndarray:
+    """Offset a - b as (dx, dy, dz, sine of the yaw difference)."""
+    return np.array([a[0] - b[0], a[1] - b[1], a[2] - b[2], math.sin(a[3] - b[3])])
 
 
 def match_pred_to_gt(
@@ -74,28 +57,20 @@ def match_pred_to_gt(
     return pairs
 
 
-def _offset_residual_loss(
-    r: np.ndarray, beta: float
+def offset_loss(
+    p: np.ndarray, g: np.ndarray, beta: float = 1.0
 ) -> Tuple[float, np.ndarray]:
+    """Sum of smooth-L1 over the 4 components of p - g; gradient wrt p.
+
+    The velocity term compares pose offsets, the acceleration term changes
+    of pose offsets.
+    """
+    r = np.asarray(p) - np.asarray(g)
     vals = np.empty(4)
     ders = np.empty(4)
     for k in range(4):
         vals[k], ders[k] = smooth_l1(float(r[k]), beta)
     return float(vals.sum()), ders
-
-
-def velocity_loss(
-    v_p: PoseOffset, v_g: PoseOffset, beta: float = 1.0
-) -> Tuple[float, np.ndarray]:
-    """Sum of smooth-L1 over the 4 offset components; gradient wrt v_p."""
-    return _offset_residual_loss(v_p.as_array() - v_g.as_array(), beta)
-
-
-def acceleration_loss(
-    a_p: PoseOffset, a_g: PoseOffset, beta: float = 1.0
-) -> Tuple[float, np.ndarray]:
-    """Same functional form as the velocity term, applied to offset changes."""
-    return _offset_residual_loss(a_p.as_array() - a_g.as_array(), beta)
 
 
 def mcl(
@@ -123,13 +98,11 @@ def mcl(
     v_p = pose_offset(p, g_t)
     v_g = pose_offset(g_t, g_tm1)
 
-    value, dv = velocity_loss(v_p, v_g, beta)
+    value, dv = offset_loss(v_p, v_g, beta)
     grad_comp = dv.copy()
     if gt_tm2 is not None:
         v_g_prev = pose_offset(g_tm1, pose_of(gt_tm2))
-        a_p = PoseOffset(*(v_p.as_array() - v_g.as_array()))
-        a_g = PoseOffset(*(v_g.as_array() - v_g_prev.as_array()))
-        a_val, da = acceleration_loss(a_p, a_g, beta)
+        a_val, da = offset_loss(v_p - v_g, v_g - v_g_prev, beta)
         value += tau * a_val
         grad_comp += tau * da
     # Chain rule through the offset: d(dtheta)/d(theta_p) = cos(theta_p - theta_g).

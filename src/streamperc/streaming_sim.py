@@ -9,30 +9,9 @@ latency 1.5x the interval every other frame is processed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-
-@dataclass
-class LatencyModel:
-    constant_ms: float = 0.0
-    trace: Optional[List[float]] = None  # per-frame latencies; None means constant
-
-    @classmethod
-    def constant(cls, ms: float) -> "LatencyModel":
-        if ms < 0:
-            raise ValueError("latency must be >= 0")
-        return cls(constant_ms=ms)
-
-    @classmethod
-    def from_trace(cls, values: Sequence[float]) -> "LatencyModel":
-        values = [float(v) for v in values]
-        if any(v < 0 for v in values):
-            raise ValueError("latency must be >= 0")
-        return cls(trace=values)
-
-    def latency(self, frame: int) -> float:
-        return self.constant_ms if self.trace is None else self.trace[frame]
 
 
 @dataclass
@@ -56,16 +35,19 @@ class StreamSchedule:
 def build_schedule(
     n_frames: int,
     interval_ms: float,
-    lat: LatencyModel,
+    latencies_ms: Sequence[float],
     skip_stale: bool = False,
 ) -> StreamSchedule:
-    """Simulate single-worker FIFO processing of n_frames."""
+    """Simulate single-worker FIFO processing of n_frames, frame k taking
+    latencies_ms[k]."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if interval_ms <= 0:
-        raise ValueError("interval_ms must be > 0")
-    if lat.trace is not None and len(lat.trace) != n_frames:
-        raise ValueError("latency trace length must equal the frame count")
+    if not (math.isfinite(interval_ms) and interval_ms > 0):
+        raise ValueError("interval_ms must be finite and > 0")
+    if len(latencies_ms) != n_frames:
+        raise ValueError("latency count must equal the frame count")
+    if not all(math.isfinite(v) and v >= 0 for v in latencies_ms):
+        raise ValueError("latencies must be finite and >= 0")
     events = []
     available = 0.0
     for k in range(n_frames):
@@ -74,7 +56,7 @@ def build_schedule(
             events.append(FrameEvent(k, arrival, None, None))
             continue
         start = max(arrival, available)
-        finish = start + lat.latency(k)
+        finish = start + latencies_ms[k]
         available = finish
         events.append(FrameEvent(k, arrival, start, finish))
     return StreamSchedule(frame_interval_ms=interval_ms, events=events)

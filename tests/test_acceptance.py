@@ -14,8 +14,8 @@ from streamperc.geometry import Box3D, iou_bev
 from streamperc.grid_ops import ConvSpec
 from streamperc.lkbb import LayerSpec, complexity, lka_chain, lkbb_fuse, receptive_field
 from streamperc.metrics import Difficulty, ap_r40, evaluate_pairs, match_frame
-from streamperc.motion_loss import mcl, pose_of, pose_offset, velocity_loss
-from streamperc.streaming_sim import LatencyModel, build_schedule, latest_output_at
+from streamperc.motion_loss import mcl, offset_loss, pose_of, pose_offset
+from streamperc.streaming_sim import build_schedule, latest_output_at
 
 from conftest import make_box, make_gt, textured_grid, translate_grid
 
@@ -131,9 +131,9 @@ def test_criterion_2_flow_translation_recovery():
 
 
 def _near_kink(pred, gt_t, gt_tm1, gt_tm2, margin=1e-3):
-    v_p = pose_offset(pose_of(pred), pose_of(gt_t)).as_array()
-    v_g = pose_offset(pose_of(gt_t), pose_of(gt_tm1)).as_array()
-    v_g2 = pose_offset(pose_of(gt_tm1), pose_of(gt_tm2)).as_array()
+    v_p = pose_offset(pose_of(pred), pose_of(gt_t))
+    v_g = pose_offset(pose_of(gt_t), pose_of(gt_tm1))
+    v_g2 = pose_offset(pose_of(gt_tm1), pose_of(gt_tm2))
     return bool(
         np.any(np.abs(np.abs(v_p - v_g) - 1.0) < margin)
         or np.any(np.abs(np.abs((v_p - v_g) - (v_g - v_g2)) - 1.0) < margin)
@@ -176,7 +176,7 @@ def test_criterion_3_motion_loss_gradients():
     gt_t, gt_tm1, gt_tm2 = (make_box(x=0.4 * i, z=10.0, track_id=1) for i in (2, 1, 0))
     pred = make_box(x=1.7, z=10.3, yaw=0.2)
     v0, _ = mcl(pred, gt_t, gt_tm1, gt_tm2, tau=0.0)
-    vel, _ = velocity_loss(
+    vel, _ = offset_loss(
         pose_offset(pose_of(pred), pose_of(gt_t)),
         pose_offset(pose_of(gt_t), pose_of(gt_tm1)),
     )
@@ -248,11 +248,11 @@ def test_criterion_4_ap_exhaustive():
 
 
 def test_criterion_5_stream_pairing():
-    s80 = build_schedule(20, 100.0, LatencyModel.constant(80.0))
+    s80 = build_schedule(20, 100.0, [80.0] * 20)
     ok = all(latest_output_at(s80, 100.0 * j) == j - 1 for j in range(1, 20))
     ok &= latest_output_at(s80, 0.0) is None
     # queueing at latency 150: finish(k) = 150(k+1), staleness grows
-    s150 = build_schedule(20, 100.0, LatencyModel.constant(150.0))
+    s150 = build_schedule(20, 100.0, [150.0] * 20)
     for j in range(20):
         expected = (100 * j) // 150 - 1
         got = latest_output_at(s150, 100.0 * j)

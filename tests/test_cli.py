@@ -150,15 +150,39 @@ class TestStreamEval:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["config"]["latency"] == "trace"
 
-    def test_short_trace_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["stream-eval", "streamer"])
+    @pytest.mark.parametrize("trace, flags", [
+        pytest.param("10\n", [], id="short-trace"),
+        pytest.param("nan\n0\n0\n", [], id="nan-trace"),
+        pytest.param("0\ninf\n0\n", [], id="inf-trace"),
+        pytest.param(None, ["--latency-ms", "nan"], id="latency-nan"),
+        pytest.param(None, ["--latency-ms", "inf"], id="latency-inf"),
+        pytest.param(None, ["--latency-ms", "-1"], id="latency-negative"),
+        pytest.param(None, ["--interval-ms", "nan"], id="interval-nan"),
+        pytest.param(None, ["--interval-ms", "inf"], id="interval-inf"),
+        pytest.param(None, ["--interval-ms", "-1"], id="interval-negative"),
+    ])
+    def test_short_trace_is_data_error(self, tmp_path, capsys, command, trace, flags):
+        # at zero latency this world scores Car sAP 1.0; a bad latency or
+        # interval must not turn into a silent 0.0
         gt = write_labels(tmp_path / "gt.txt", simple_world(3))
         det = write_labels(tmp_path / "det.txt", simple_world(3, score=0.9))
-        trace = tmp_path / "trace.txt"
-        trace.write_text("10\n")
-        rc = cli.main(["stream-eval", "--gt", gt, "--det", det,
-                       "--output", str(tmp_path / "r"), "--latency-trace", str(trace)])
+        if trace is not None:
+            (tmp_path / "trace.txt").write_text(trace)
+            flags = ["--latency-trace", str(tmp_path / "trace.txt")]
+        rc = cli.main([command, "--gt", gt, "--det", det,
+                       "--output", str(tmp_path / "r")] + flags)
         assert rc == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stream-eval", "streamer"])
+    def test_empty_directory_is_data_error(self, tmp_path, capsys, command):
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "det").mkdir()
+        rc = cli.main([command, "--gt", str(tmp_path / "gt"), "--det", str(tmp_path / "det"),
+                       "--output", str(tmp_path / "r")])
+        assert rc == 3
+        assert "data error: no sequences" in capsys.readouterr().err
 
 
 class TestStreamer:
@@ -288,9 +312,13 @@ class TestLkbb:
 
     def test_bad_chain_is_data_error(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"
-        chain.write_text("pool 2 2 1 8\n")
-        assert cli.main(["lkbb", "--chain", str(chain)]) == 3
-        capsys.readouterr()
+        # unknown kind; zero stride, channels, dilation or out_channels;
+        # negative kernel or channels
+        for line in ("pool 2 2 1 8", "conv 3 0 1 4", "dwconv 3 1 1 0",
+                     "conv -3 1 1 4", "conv 3 1 1 -4", "conv 3 1 0 4", "tconv 2 2 1 8 0"):
+            chain.write_text(line + "\n")
+            assert cli.main(["lkbb", "--chain", str(chain)]) == 3, line
+            assert "data error" in capsys.readouterr().err, line
 
 
 class TestConfigPrecedence:

@@ -15,6 +15,16 @@ from streamperc.grid_ops import (
 from conftest import textured_grid
 
 
+def naive_max_pool(g, ratio):
+    """Per-window loop reference for max_pool."""
+    h, w, c = g.shape
+    out = np.empty(((h + ratio - 1) // ratio, (w + ratio - 1) // ratio, c))
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            out[i, j] = g[i * ratio:(i + 1) * ratio, j * ratio:(j + 1) * ratio].max(axis=(0, 1))
+    return out
+
+
 def naive_conv2d(g, spec):
     """Quadruple-loop reference for conv2d."""
     h, w, _ = g.shape
@@ -80,6 +90,15 @@ class TestMaxPool:
         # hand-enumerated windows: {0,1,3,4}, {2,5}, {6,7}, {8}
         expected = np.array([[4.0, 5.0], [7.0, 8.0]]).reshape(2, 2, 1)
         assert np.array_equal(out, expected)
+        # ragged 3x5 of negatives: row windows {0,1}, {2}; column windows
+        # {0,1}, {2,3}, {4}; padding must never win a partial window
+        g = -(np.arange(15, dtype=float) + 1).reshape(3, 5, 1)
+        expected = np.array([[-1.0, -3.0, -5.0], [-11.0, -13.0, -15.0]]).reshape(2, 3, 1)
+        assert np.array_equal(max_pool(g, 2), expected)
+        rng = np.random.default_rng(4)
+        for shape, ratio in (((7, 5, 3), 3), ((9, 4, 2), 2), ((16, 12, 4), 4)):
+            g = rng.normal(size=shape)
+            assert max_pool(g, ratio).tobytes() == naive_max_pool(g, ratio).tobytes()
 
     def test_values_come_from_input(self, rng):
         g = rng.normal(size=(5, 7, 3))

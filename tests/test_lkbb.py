@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamperc.grid_ops import ConvSpec, conv2d, transpose_conv2d
 from streamperc.lkbb import (
@@ -212,3 +214,19 @@ class TestParseChain:
     def test_depthwise_channel_change_rejected(self):
         with pytest.raises(ValueError):
             parse_chain("dwconv 3 1 1 8 16")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(max_size=20),
+        st.tuples(
+            st.sampled_from(["conv", "dwconv", "tconv", "pool"]),
+            st.lists(st.integers(-3, 10**6).map(str), min_size=3, max_size=6),
+        ).map(lambda kf: " ".join([kf[0]] + kf[1])),
+    ), max_size=6).map("\n".join), st.integers(1, 256), st.integers(1, 256))
+    def test_any_text_is_rejected_or_well_formed(self, text, h, w):
+        try:
+            chain = parse_chain(text)
+        except ValueError:
+            return
+        report = complexity(chain, (h, w))
+        assert report.rf >= 1 and report.params >= 0 and report.flops >= 0

@@ -8,7 +8,6 @@ from streamperc.metrics import (
     evaluate_pairs,
     match_frame,
     pr_curve,
-    sap_report,
 )
 
 from conftest import make_box, make_gt
@@ -201,7 +200,3 @@ class TestReports:
                 by_class[c.class_name] = c.ap
         assert by_class["Car"] is None  # no Car GT in scope
         assert by_class["Pedestrian"] == pytest.approx(0.0)  # GT there, pred wrong class
-
-    def test_sap_report_requires_pairs(self):
-        with pytest.raises(ValueError):
-            sap_report([])

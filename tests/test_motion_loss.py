@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from streamperc.motion_loss import (
-    PoseOffset,
-    acceleration_loss,
     batch_mcl,
     match_pred_to_gt,
     mcl,
+    offset_loss,
     pose_offset,
     smooth_l1,
     total_loss,
-    velocity_loss,
 )
 
 from conftest import make_box
 
 
 def offset(*vals):
-    return PoseOffset(*vals)
+    return np.array(vals, dtype=float)
 
 
 class TestSmoothL1:
@@ -54,15 +52,16 @@ class TestSmoothL1:
 class TestPoseOffset:
     def test_identity(self):
         o = pose_offset((1, 2, 3, 0.5), (1, 2, 3, 0.5))
-        assert o.as_array().tolist() == [0, 0, 0, 0]
+        assert o.tolist() == [0, 0, 0, 0]
 
     def test_quarter_turn(self):
         o = pose_offset((0, 0, 0, math.pi / 2), (0, 0, 0, 0.0))
-        assert o.dtheta == pytest.approx(1.0)
+        assert o[3] == pytest.approx(1.0)
 
     def test_components(self):
         o = pose_offset((1, 0, -2, 0.0), (0, 0, 0, 0.0))
-        assert (o.dx, o.dy, o.dz, o.dtheta) == (1.0, 0.0, -2.0, 0.0)
+        assert o.shape == (4,)
+        assert o.tolist() == [1.0, 0.0, -2.0, 0.0]
 
 
 class TestMatchPredToGt:
@@ -83,27 +82,27 @@ class TestMatchPredToGt:
 
 class TestVelocityLoss:
     def test_zero(self):
-        v, g = velocity_loss(offset(1, 2, 3, 0.5), offset(1, 2, 3, 0.5))
+        v, g = offset_loss(offset(1, 2, 3, 0.5), offset(1, 2, 3, 0.5))
         assert v == 0.0
         assert np.array_equal(g, np.zeros(4))
 
     def test_quadratic_value(self):
-        v, _ = velocity_loss(offset(0.2, 0, 0, 0), offset(0, 0, 0, 0))
+        v, _ = offset_loss(offset(0.2, 0, 0, 0), offset(0, 0, 0, 0))
         assert v == pytest.approx(0.02)
 
     def test_linear_value(self):
-        v, g = velocity_loss(offset(2, 0, 0, 0), offset(0, 0, 0, 0))
+        v, g = offset_loss(offset(2, 0, 0, 0), offset(0, 0, 0, 0))
         assert v == pytest.approx(1.5)
         assert g[0] == 1.0
 
 
 class TestAccelerationLoss:
     def test_constant_velocity_zero(self):
-        v, _ = acceleration_loss(offset(0, 0, 0, 0), offset(0, 0, 0, 0))
+        v, _ = offset_loss(offset(0, 0, 0, 0), offset(0, 0, 0, 0))
         assert v == 0.0
 
     def test_small_residual(self):
-        v, _ = acceleration_loss(offset(0.1, 0.1, 0, 0), offset(0, 0, 0, 0))
+        v, _ = offset_loss(offset(0.1, 0.1, 0, 0), offset(0, 0, 0, 0))
         assert v == pytest.approx(0.01)
 
     def test_gradient_finite_difference(self, rng):
@@ -111,12 +110,12 @@ class TestAccelerationLoss:
         for _ in range(20):
             a = rng.uniform(-0.8, 0.8, 4)
             b = rng.uniform(-0.8, 0.8, 4)
-            _, grad = acceleration_loss(offset(*a), offset(*b))
+            _, grad = offset_loss(offset(*a), offset(*b))
             for k in range(4):
                 ap = a.copy(); ap[k] += h
                 am = a.copy(); am[k] -= h
-                fd = (acceleration_loss(offset(*ap), offset(*b))[0]
-                      - acceleration_loss(offset(*am), offset(*b))[0]) / (2 * h)
+                fd = (offset_loss(offset(*ap), offset(*b))[0]
+                      - offset_loss(offset(*am), offset(*b))[0]) / (2 * h)
                 assert grad[k] == pytest.approx(fd, abs=1e-6)
 
 
@@ -149,7 +148,7 @@ class TestMcl:
         gt_t, gt_tm1, gt_tm2 = track_chain(vx=0.4, vyaw=0.1)
         pred = make_box(x=gt_t.center[0] + 0.9, z=10.3, yaw=0.5)
         v0, g0 = mcl(pred, gt_t, gt_tm1, gt_tm2, tau=0.0)
-        vel, _ = velocity_loss(
+        vel, _ = offset_loss(
             pose_offset((pred.center[0], pred.center[1], pred.center[2], pred.yaw),
                         (gt_t.center[0], gt_t.center[1], gt_t.center[2], gt_t.yaw)),
             pose_offset((gt_t.center[0], gt_t.center[1], gt_t.center[2], gt_t.yaw),
@@ -221,9 +220,9 @@ class TestMcl:
 def _near_kink(pred, gt_t, gt_tm1, gt_tm2, margin=1e-3):
     from streamperc.motion_loss import pose_of
 
-    v_p = pose_offset(pose_of(pred), pose_of(gt_t)).as_array()
-    v_g = pose_offset(pose_of(gt_t), pose_of(gt_tm1)).as_array()
-    v_g2 = pose_offset(pose_of(gt_tm1), pose_of(gt_tm2)).as_array()
+    v_p = pose_offset(pose_of(pred), pose_of(gt_t))
+    v_g = pose_offset(pose_of(gt_t), pose_of(gt_tm1))
+    v_g2 = pose_offset(pose_of(gt_tm1), pose_of(gt_tm2))
     res_v = v_p - v_g
     res_a = (v_p - v_g) - (v_g - v_g2)
     return bool(
