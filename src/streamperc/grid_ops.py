@@ -41,11 +41,13 @@ class ConvSpec:
     bias: Optional[np.ndarray] = None  # (out,)
 
     def __post_init__(self):
-        if self.in_channels % self.groups != 0:
-            raise ValueError("in_channels must be divisible by groups")
+        kh, kw = self.kernel
+        if min(kh, kw, self.stride, self.dilation, self.groups, self.in_channels, self.out_channels) < 1:
+            raise ValueError("kernel, stride, dilation, groups and channels must be >= 1")
+        if self.in_channels % self.groups or self.out_channels % self.groups:
+            raise ValueError("in_channels and out_channels must be divisible by groups")
         if self.transpose and self.dilation != 1:
             raise ValueError("transpose convolution requires dilation 1")
-        kh, kw = self.kernel
         shape = (self.out_channels, self.in_channels // self.groups, kh, kw)
         if self.weights is None:
             self.weights = np.zeros(shape)
@@ -123,6 +125,21 @@ def bilinear_resize(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fr) + bot * fr
 
 
+def _tap_product(x: np.ndarray, w_tap: np.ndarray, groups: int) -> np.ndarray:
+    """One kernel tap, all output channels: (..., in) by (out, in/groups) -> (..., out).
+
+    Bit-identical to one matrix-vector product per output channel; a batched
+    gemm or einsum is not, as it sums in another order. With one input channel
+    per group the product is a single multiply, done as one broadcast.
+    """
+    out_c, in_per_group = w_tap.shape
+    if in_per_group == 1:
+        prod = x[..., None] * w_tap[:, 0].reshape(groups, -1)
+        return prod.reshape(x.shape[:-1] + (out_c,))
+    starts = np.arange(out_c) // (out_c // groups) * in_per_group
+    return np.stack([x[..., i : i + in_per_group] @ w for i, w in zip(starts, w_tap)], axis=-1)
+
+
 def conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Grouped, dilated cross-correlation with zero padding floor(keff/2)."""
     g = as_grid(g)
@@ -138,28 +155,19 @@ def conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     keff_h = (kh - 1) * d + 1
     keff_w = (kw - 1) * d + 1
     ph, pw = keff_h // 2, keff_w // 2
-    padded = np.zeros((h + 2 * ph, w + 2 * pw, c))
-    padded[ph : ph + h, pw : pw + w, :] = g
+    padded = np.pad(g, ((ph, ph), (pw, pw), (0, 0)))
     ho = (h + 2 * ph - keff_h) // s + 1
     wo = (w + 2 * pw - keff_w) // s + 1
     out = np.zeros((ho, wo, spec.out_channels))
-    in_per_group = spec.in_channels // spec.groups
-    out_per_group = spec.out_channels // spec.groups
-    for oc in range(spec.out_channels):
-        grp = oc // out_per_group
-        ic0 = grp * in_per_group
-        acc = np.zeros((ho, wo))
-        for ki in range(kh):
-            for kj in range(kw):
-                patch = padded[
-                    ki * d : ki * d + (ho - 1) * s + 1 : s,
-                    kj * d : kj * d + (wo - 1) * s + 1 : s,
-                    ic0 : ic0 + in_per_group,
-                ]
-                acc += patch @ spec.weights[oc, :, ki, kj]
-        if spec.bias is not None:
-            acc += spec.bias[oc]
-        out[:, :, oc] = acc
+    for ki in range(kh):
+        for kj in range(kw):
+            patch = padded[
+                ki * d : ki * d + (ho - 1) * s + 1 : s,
+                kj * d : kj * d + (wo - 1) * s + 1 : s,
+            ]
+            out += _tap_product(patch, spec.weights[:, :, ki, kj], spec.groups)
+    if spec.bias is not None:
+        out += spec.bias
     return out
 
 
@@ -181,19 +189,13 @@ def transpose_conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     ho = (h - 1) * s + kh
     wo = (w - 1) * s + kw
     out = np.zeros((ho, wo, spec.out_channels))
-    in_per_group = spec.in_channels // spec.groups
-    out_per_group = spec.out_channels // spec.groups
-    for oc in range(spec.out_channels):
-        grp = oc // out_per_group
-        ic0 = grp * in_per_group
-        contrib = g[:, :, ic0 : ic0 + in_per_group]
-        for ki in range(kh):
-            for kj in range(kw):
-                out[ki : ki + (h - 1) * s + 1 : s, kj : kj + (w - 1) * s + 1 : s, oc] += (
-                    contrib @ spec.weights[oc, :, ki, kj]
-                )
-        if spec.bias is not None:
-            out[:, :, oc] += spec.bias[oc]
+    for ki in range(kh):
+        for kj in range(kw):
+            out[ki : ki + (h - 1) * s + 1 : s, kj : kj + (w - 1) * s + 1 : s] += (
+                _tap_product(g, spec.weights[:, :, ki, kj], spec.groups)
+            )
+    if spec.bias is not None:
+        out += spec.bias
     return out
 
 

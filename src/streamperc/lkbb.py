@@ -48,15 +48,19 @@ class ComplexityReport:
 def receptive_field(chain: Sequence[LayerSpec]) -> Tuple[int, float]:
     """Compose rf' = rf + (k-1)*dilation*jump and jump' = jump*stride.
 
-    Transpose layers divide the jump by their stride instead.
+    Transpose layers divide the jump by their stride instead. A chain whose
+    fields overflow a float is a ValueError, like any other malformed chain.
     """
     rf = 1.0
     jump = 1.0
-    for layer in chain:
-        k = layer.kernel[0]
-        rf += (k - 1) * layer.dilation * jump
-        jump = jump / layer.stride if layer.transpose else jump * layer.stride
-    return int(round(rf)), jump
+    try:
+        for layer in chain:
+            k = layer.kernel[0]
+            rf += (k - 1) * layer.dilation * jump
+            jump = jump / layer.stride if layer.transpose else jump * layer.stride
+        return int(round(rf)), jump
+    except OverflowError as exc:
+        raise ValueError("chain too large for a float receptive field: %s" % exc) from exc
 
 
 def complexity(chain: Sequence[LayerSpec], input_hw: Tuple[int, int]) -> ComplexityReport:

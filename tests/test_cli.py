@@ -313,9 +313,10 @@ class TestLkbb:
     def test_bad_chain_is_data_error(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"
         # unknown kind; zero stride, channels, dilation or out_channels;
-        # negative kernel or channels
+        # negative kernel or channels; a kernel too large for a float
         for line in ("pool 2 2 1 8", "conv 3 0 1 4", "dwconv 3 1 1 0",
-                     "conv -3 1 1 4", "conv 3 1 1 -4", "conv 3 1 0 4", "tconv 2 2 1 8 0"):
+                     "conv -3 1 1 4", "conv 3 1 1 -4", "conv 3 1 0 4", "tconv 2 2 1 8 0",
+                     "conv %d 1 1 4" % 10**400):
             chain.write_text(line + "\n")
             assert cli.main(["lkbb", "--chain", str(chain)]) == 3, line
             assert "data error" in capsys.readouterr().err, line

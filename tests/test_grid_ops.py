@@ -62,17 +62,89 @@ def naive_transpose_conv2d(g, spec):
     h, w, _ = g.shape
     kh, kw = spec.kernel
     s = spec.stride
+    in_per_group = spec.in_channels // spec.groups
+    out_per_group = spec.out_channels // spec.groups
     out = np.zeros(((h - 1) * s + kh, (w - 1) * s + kw, spec.out_channels))
     for oc in range(spec.out_channels):
+        grp = oc // out_per_group
         for i in range(h):
             for j in range(w):
                 for ki in range(kh):
                     for kj in range(kw):
-                        for ic in range(spec.in_channels):
+                        for ic in range(in_per_group):
                             out[i * s + ki, j * s + kj, oc] += (
-                                g[i, j, ic] * spec.weights[oc, ic, ki, kj]
+                                g[i, j, grp * in_per_group + ic] * spec.weights[oc, ic, ki, kj]
                             )
+        if spec.bias is not None:
+            out[:, :, oc] += spec.bias[oc]
     return out
+
+
+def loop_conv2d(g, spec):
+    """The per-output-channel conv2d loop that conv2d must match bit for bit."""
+    h, w, c = g.shape
+    kh, kw = spec.kernel
+    d, s = spec.dilation, spec.stride
+    keff_h = (kh - 1) * d + 1
+    keff_w = (kw - 1) * d + 1
+    ph, pw = keff_h // 2, keff_w // 2
+    padded = np.zeros((h + 2 * ph, w + 2 * pw, c))
+    padded[ph : ph + h, pw : pw + w, :] = g
+    ho = (h + 2 * ph - keff_h) // s + 1
+    wo = (w + 2 * pw - keff_w) // s + 1
+    out = np.zeros((ho, wo, spec.out_channels))
+    in_per_group = spec.in_channels // spec.groups
+    out_per_group = spec.out_channels // spec.groups
+    for oc in range(spec.out_channels):
+        grp = oc // out_per_group
+        ic0 = grp * in_per_group
+        acc = np.zeros((ho, wo))
+        for ki in range(kh):
+            for kj in range(kw):
+                patch = padded[
+                    ki * d : ki * d + (ho - 1) * s + 1 : s,
+                    kj * d : kj * d + (wo - 1) * s + 1 : s,
+                    ic0 : ic0 + in_per_group,
+                ]
+                acc += patch @ spec.weights[oc, :, ki, kj]
+        if spec.bias is not None:
+            acc += spec.bias[oc]
+        out[:, :, oc] = acc
+    return out
+
+
+def loop_transpose_conv2d(g, spec):
+    """The per-output-channel transpose_conv2d loop that transpose_conv2d
+    must match bit for bit."""
+    h, w, c = g.shape
+    kh, kw = spec.kernel
+    s = spec.stride
+    ho = (h - 1) * s + kh
+    wo = (w - 1) * s + kw
+    out = np.zeros((ho, wo, spec.out_channels))
+    in_per_group = spec.in_channels // spec.groups
+    out_per_group = spec.out_channels // spec.groups
+    for oc in range(spec.out_channels):
+        grp = oc // out_per_group
+        ic0 = grp * in_per_group
+        contrib = g[:, :, ic0 : ic0 + in_per_group]
+        for ki in range(kh):
+            for kj in range(kw):
+                out[ki : ki + (h - 1) * s + 1 : s, kj : kj + (w - 1) * s + 1 : s, oc] += (
+                    contrib @ spec.weights[oc, :, ki, kj]
+                )
+        if spec.bias is not None:
+            out[:, :, oc] += spec.bias[oc]
+    return out
+
+
+def random_spec(rng, cin, cout, k, bias=False, **kw):
+    groups = kw.get("groups", 1)
+    return ConvSpec(cin, cout, (k, k), weights=rng.normal(size=(cout, cin // groups, k, k)),
+                    bias=rng.normal(size=cout) if bias else None, **kw)
+
+
+GRID_SHAPES = [(64, 64), (13, 7)]
 
 
 class TestMaxPool:
@@ -152,6 +224,25 @@ class TestBilinearResize:
             bilinear_resize(textured_grid(2, 2, 1), 0, 2)
 
 
+class TestConvSpec:
+    @pytest.mark.parametrize("args,kw", [
+        ((4, 4, (3, 3)), dict(dilation=0)),
+        ((4, 4, (0, 0)), dict()),
+        ((4, 4, (3, 0)), dict()),
+        ((4, 4, (3, 3)), dict(stride=0)),
+        ((4, 4, (3, 3)), dict(stride=-1)),
+        ((4, 4, (3, 3)), dict(groups=0)),
+        ((4, 4, (3, 3)), dict(groups=-2)),
+        ((0, 4, (3, 3)), dict()),
+        ((4, 0, (3, 3)), dict()),
+        ((4, 2, (3, 3)), dict(groups=4)),  # out_channels not divisible by groups
+        ((6, 4, (3, 3)), dict(groups=4)),  # in_channels not divisible by groups
+    ])
+    def test_malformed_spec_rejected(self, args, kw):
+        with pytest.raises(ValueError):
+            ConvSpec(*args, **kw)
+
+
 class TestConv2d:
     def test_1x1_identity(self):
         g = textured_grid(4, 4, 3)
@@ -189,6 +280,22 @@ class TestConv2d:
         )
         assert np.allclose(conv2d(g, spec), naive_conv2d(g, spec), atol=1e-9)
 
+    @pytest.mark.parametrize("hw", GRID_SHAPES)
+    @pytest.mark.parametrize("cin,cout,k,opts", [
+        (8, 8, 5, dict(groups=8)),  # depthwise
+        (8, 8, 7, dict(dilation=3, groups=8, bias=True)),  # depthwise dilated
+        (2, 4, 3, dict(groups=2)),  # channel multiplier
+        (8, 8, 3, dict(groups=4)),  # grouped, two inputs per group
+        (8, 4, 3, dict(stride=2, dilation=2, groups=4, bias=True)),  # grouped, strided, dilated
+        (8, 6, 1, dict()),  # dense pointwise
+        (4, 5, 3, dict(stride=2, bias=True)),  # dense strided
+        (4, 4, 3, dict(dilation=2, bias=True)),  # dense dilated
+    ])
+    def test_bit_identical_to_channel_loop(self, rng, hw, cin, cout, k, opts):
+        g = rng.normal(size=hw + (cin,))
+        spec = random_spec(rng, cin, cout, k, **opts)
+        assert np.array_equal(conv2d(g, spec), loop_conv2d(g, spec))
+
     def test_linearity(self, rng):
         a = rng.normal(size=(6, 6, 3))
         b = rng.normal(size=(6, 6, 3))
@@ -218,11 +325,28 @@ class TestTransposeConv2d:
         out = transpose_conv2d(g, spec)
         assert np.allclose(out[2:4, 2:4, 0], kernel[0, 0])
 
-    def test_against_naive_oracle(self, rng):
-        g = rng.normal(size=(4, 3, 2))
-        spec = ConvSpec(2, 3, (2, 2), stride=2, transpose=True,
-                        weights=rng.normal(size=(3, 2, 2, 2)))
+    @pytest.mark.parametrize("cin,cout,k,groups,bias", [
+        pytest.param(2, 3, 2, 1, False, id="dense"),
+        pytest.param(4, 4, 2, 4, False, id="depthwise"),
+        pytest.param(4, 6, 3, 2, True, id="grouped-overlapping-bias"),
+    ])
+    def test_against_naive_oracle(self, rng, cin, cout, k, groups, bias):
+        g = rng.normal(size=(4, 3, cin))
+        spec = random_spec(rng, cin, cout, k, bias, stride=2, groups=groups, transpose=True)
         assert np.allclose(transpose_conv2d(g, spec), naive_transpose_conv2d(g, spec), atol=1e-12)
+
+    @pytest.mark.parametrize("hw", GRID_SHAPES)
+    @pytest.mark.parametrize("cin,cout,k,opts", [
+        (8, 8, 2, dict(stride=2, groups=8)),  # depthwise
+        (2, 4, 2, dict(stride=2, groups=2, bias=True)),  # channel multiplier
+        (8, 8, 3, dict(stride=2, groups=4, bias=True)),  # grouped, overlapping taps
+        (8, 4, 2, dict(stride=2, bias=True)),  # dense
+        (4, 4, 3, dict(stride=1)),  # dense, stride 1
+    ])
+    def test_bit_identical_to_channel_loop(self, rng, hw, cin, cout, k, opts):
+        g = rng.normal(size=hw + (cin,))
+        spec = random_spec(rng, cin, cout, k, transpose=True, **opts)
+        assert np.array_equal(transpose_conv2d(g, spec), loop_transpose_conv2d(g, spec))
 
     def test_requires_transpose_spec(self):
         with pytest.raises(ValueError):
