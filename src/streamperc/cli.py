@@ -100,11 +100,17 @@ def _boxes_to_preds(
 
 
 def _parse_classes(args) -> List[str]:
-    return [c.strip() for c in str(resolve(args, "classes")).split(",") if c.strip()]
+    classes = [c.strip() for c in str(resolve(args, "classes")).split(",") if c.strip()]
+    if not classes:
+        raise ParseError("--classes names no class")
+    return classes
 
 
 def _parse_thresholds(args) -> List[float]:
-    return [float(v) for v in str(resolve(args, "iou")).split(",") if v]
+    thresholds = [float(v) for v in str(resolve(args, "iou")).split(",") if v]
+    if not thresholds:
+        raise ParseError("--iou names no threshold")
+    return thresholds
 
 
 def _write_report(out_prefix: str, cells, config: dict, extra: Optional[dict] = None):

@@ -16,6 +16,9 @@ import numpy as np
 _EDGE_EPS = 1e-9
 # Footprints smaller than this are treated as degenerate (IoU 0).
 _DEGENERATE_AREA = 1e-12
+# Absolute margin (m) of the zero-overlap prefilter, far above the rounding
+# error of corner coordinates.
+_PREFILTER_GAP = 1e-6
 
 
 def normalize_angle(a: float) -> float:
@@ -45,8 +48,8 @@ class Box3D:
 
     def __post_init__(self):
         h, w, l = self.dims
-        if h <= 0 or w <= 0 or l <= 0:
-            raise ValueError("box dims must be positive, got %r" % (self.dims,))
+        if not all(0 < d < math.inf for d in (h, w, l)):
+            raise ValueError("box dims must be positive and finite, got %r" % (self.dims,))
         self.yaw = normalize_angle(self.yaw)
 
     @property
@@ -92,23 +95,21 @@ def polygon_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=float)
     if len(v) < 3:
         return 0.0
-    x, z = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)))
+    nxt = np.concatenate((v[1:], v[:1]))
+    return 0.5 * float(np.dot(v[:, 0], nxt[:, 1]) - np.dot(v[:, 1], nxt[:, 0]))
 
 
-def _clip_polygon(subject: np.ndarray, cp1, cp2):
-    """Clip a polygon against the half-plane left of the edge cp1->cp2."""
+def _clip_polygon(subject, cp1, cp2):
+    """Clip a polygon against the half-plane left of the edge cp1->cp2.
+
+    Points are (x, z) pairs of Python floats.
+    """
     ex, ez = cp2[0] - cp1[0], cp2[1] - cp1[1]
-
-    def side(p):
-        return ex * (p[1] - cp1[1]) - ez * (p[0] - cp1[0])
-
+    sides = [ex * (p[1] - cp1[1]) - ez * (p[0] - cp1[0]) for p in subject]
     out = []
-    n = len(subject)
-    for i in range(n):
-        cur = subject[i]
+    for i, cur in enumerate(subject):
         prev = subject[i - 1]
-        sc, sp = side(cur), side(prev)
+        sc, sp = sides[i], sides[i - 1]
         if sc >= -_EDGE_EPS:
             if sp < -_EDGE_EPS:
                 out.append(_intersect(prev, cur, cp1, cp2))
@@ -139,15 +140,33 @@ def polygon_intersection_area(a: Sequence, b: Sequence) -> float:
         a = a[::-1]
     if polygon_area(b) < 0:
         b = b[::-1]
-    poly = [tuple(p) for p in a]
-    nb = len(b)
-    for i in range(nb):
+    poly = a.tolist()
+    b = b.tolist()
+    for i in range(len(b)):
         if len(poly) < 3:
             return 0.0
-        poly = _clip_polygon(np.asarray(poly), b[i - 1], b[i])
+        poly = _clip_polygon(poly, b[i - 1], b[i])
     if len(poly) < 3:
         return 0.0
     return abs(polygon_area(np.asarray(poly)))
+
+
+def _bev_intersection(a: Box3D, b: Box3D) -> float:
+    """BEV footprint intersection area of a clipped by b.
+
+    Returns 0.0 without clipping when the circumscribed circles lie farther
+    apart than the clip's on-edge tolerance (_EDGE_EPS over b's shorter
+    side) plus _PREFILTER_GAP: clipping then keeps no vertex and returns 0.0
+    as well. NaN distances fail the strict test and are clipped.
+    """
+    _, wa, la = a.dims
+    _, wb, lb = b.dims
+    reach = 0.5 * (math.hypot(wa, la) + math.hypot(wb, lb))
+    reach += _PREFILTER_GAP + _EDGE_EPS / min(wb, lb)
+    dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
+    if dx * dx + dz * dz > reach * reach:
+        return 0.0
+    return polygon_intersection_area(bev_corners(a), bev_corners(b))
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
@@ -155,7 +174,7 @@ def iou_bev(a: Box3D, b: Box3D) -> float:
     area_a, area_b = a.bev_area, b.bev_area
     if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
         return 0.0
-    inter = polygon_intersection_area(bev_corners(a), bev_corners(b))
+    inter = _bev_intersection(a, b)
     union = area_a + area_b - inter
     if union <= _DEGENERATE_AREA:
         return 0.0
@@ -170,13 +189,12 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     area_a, area_b = a.bev_area, b.bev_area
     if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
         return 0.0
-    inter_bev = polygon_intersection_area(bev_corners(a), bev_corners(b))
     ya_top, ya_bot = a.center[1] - a.dims[0], a.center[1]
     yb_top, yb_bot = b.center[1] - b.dims[0], b.center[1]
     overlap = min(ya_bot, yb_bot) - max(ya_top, yb_top)
     if overlap <= 0.0:
         return 0.0
-    inter = inter_bev * overlap
+    inter = _bev_intersection(a, b) * overlap
     union = a.volume + b.volume - inter
     if union <= _DEGENERATE_AREA:
         return 0.0

@@ -389,6 +389,18 @@ class TestBadLabels:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    @pytest.mark.parametrize("flag", ["--classes", "--iou"])
+    def test_empty_list_is_data_error(self, tmp_path, capsys, command, flag):
+        # an empty class or threshold list used to write a header-only table
+        gt = write_labels(tmp_path / "gt.txt", simple_world(2))
+        det = write_labels(tmp_path / "det.txt", simple_world(2, score=0.9))
+        rc = cli.main([command, "--gt", gt, "--det", det,
+                       "--output", str(tmp_path / "r"), flag, ","])
+        assert rc == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

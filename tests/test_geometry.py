@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from streamperc import geometry
 from streamperc.geometry import (
+    Box3D,
     bev_corners,
     iou_bev,
     iou_3d,
@@ -13,6 +17,121 @@ from streamperc.geometry import (
 )
 
 from conftest import make_box
+
+
+# Reference oracle: the plain per-pair rotated IoU, which always builds both
+# footprints and clips them as numpy rows, with no zero-overlap shortcut.
+# The fast path in streamperc.geometry must agree with it bit for bit.
+_EDGE_EPS = 1e-9
+_DEGENERATE_AREA = 1e-12
+
+
+def ref_bev_corners(box):
+    cx, _, cz = box.center
+    _, w, l = box.dims
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    local = np.array(
+        [
+            [l / 2.0, w / 2.0],
+            [-l / 2.0, w / 2.0],
+            [-l / 2.0, -w / 2.0],
+            [l / 2.0, -w / 2.0],
+        ]
+    )
+    rot = np.array([[c, -s], [s, c]])
+    pts = local @ rot.T
+    pts[:, 0] += cx
+    pts[:, 1] += cz
+    if ref_polygon_area(pts) < 0:
+        pts = pts[::-1]
+    return pts
+
+
+def ref_polygon_area(vertices):
+    v = np.asarray(vertices, dtype=float)
+    if len(v) < 3:
+        return 0.0
+    x, z = v[:, 0], v[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)))
+
+
+def ref_clip_polygon(subject, cp1, cp2):
+    ex, ez = cp2[0] - cp1[0], cp2[1] - cp1[1]
+
+    def side(p):
+        return ex * (p[1] - cp1[1]) - ez * (p[0] - cp1[0])
+
+    out = []
+    n = len(subject)
+    for i in range(n):
+        cur = subject[i]
+        prev = subject[i - 1]
+        sc, sp = side(cur), side(prev)
+        if sc >= -_EDGE_EPS:
+            if sp < -_EDGE_EPS:
+                out.append(ref_intersect(prev, cur, cp1, cp2))
+            out.append(tuple(cur))
+        elif sp >= -_EDGE_EPS:
+            out.append(ref_intersect(prev, cur, cp1, cp2))
+    return out
+
+
+def ref_intersect(p1, p2, q1, q2):
+    dpx, dpz = p2[0] - p1[0], p2[1] - p1[1]
+    dqx, dqz = q2[0] - q1[0], q2[1] - q1[1]
+    denom = dpx * dqz - dpz * dqx
+    if abs(denom) < _EDGE_EPS * _EDGE_EPS:
+        return (p2[0], p2[1])
+    t = ((q1[0] - p1[0]) * dqz - (q1[1] - p1[1]) * dqx) / denom
+    return (p1[0] + t * dpx, p1[1] + t * dpz)
+
+
+def ref_polygon_intersection_area(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) < 3 or len(b) < 3:
+        return 0.0
+    if ref_polygon_area(a) < 0:
+        a = a[::-1]
+    if ref_polygon_area(b) < 0:
+        b = b[::-1]
+    poly = [tuple(p) for p in a]
+    nb = len(b)
+    for i in range(nb):
+        if len(poly) < 3:
+            return 0.0
+        poly = ref_clip_polygon(np.asarray(poly), b[i - 1], b[i])
+    if len(poly) < 3:
+        return 0.0
+    return abs(ref_polygon_area(np.asarray(poly)))
+
+
+def ref_iou_bev(a, b):
+    area_a, area_b = a.bev_area, b.bev_area
+    if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
+        return 0.0
+    inter = ref_polygon_intersection_area(ref_bev_corners(a), ref_bev_corners(b))
+    union = area_a + area_b - inter
+    if union <= _DEGENERATE_AREA:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def ref_iou_3d(a, b):
+    area_a, area_b = a.bev_area, b.bev_area
+    if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
+        return 0.0
+    inter_bev = ref_polygon_intersection_area(ref_bev_corners(a), ref_bev_corners(b))
+    ya_top, ya_bot = a.center[1] - a.dims[0], a.center[1]
+    yb_top, yb_bot = b.center[1] - b.dims[0], b.center[1]
+    overlap = min(ya_bot, yb_bot) - max(ya_top, yb_top)
+    if overlap <= 0.0:
+        return 0.0
+    inter = inter_bev * overlap
+    union = a.volume + b.volume - inter
+    if union <= _DEGENERATE_AREA:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
 
 
 def unit_square_box(yaw=0.0):
@@ -202,3 +321,112 @@ def test_monte_carlo_agreement_sample():
         union = a.bev_area + b.bev_area - inter_mc
         mc_iou = inter_mc / union if union > 0 else 0.0
         assert abs(iou_bev(a, b) - mc_iou) <= 2e-3
+
+
+class TestBox3D:
+    @pytest.mark.parametrize("dims", [
+        (0.0, 1.6, 3.9), (1.5, -1.6, 3.9), (1.5, 1.6, 0.0),
+        (float("nan"), 1.6, 3.9), (1.5, float("nan"), 3.9), (1.5, 1.6, float("nan")),
+        (float("inf"), 1.6, 3.9), (1.5, 1.6, float("inf")), (1.5, -float("inf"), 3.9),
+    ])
+    def test_rejects_non_positive_or_non_finite_dims(self, dims):
+        with pytest.raises(ValueError, match="dims must be positive"):
+            Box3D(center=(0.0, 0.0, 10.0), dims=dims, yaw=0.0)
+
+
+def _box(x, y, z, dims, yaw):
+    return Box3D(center=(x, y, z), dims=dims, yaw=yaw)
+
+
+_DIMS = st.tuples(st.floats(0.2, 6.0), st.floats(0.2, 6.0), st.floats(0.2, 6.0))
+_TINY_DIMS = st.tuples(st.floats(0.2, 6.0), st.floats(1e-5, 1e-3), st.floats(1e-5, 1e-3))
+_YAW = st.floats(-math.pi, math.pi)
+_CENTER = st.tuples(st.floats(-40.0, 40.0), st.floats(-2.0, 3.0), st.floats(0.0, 80.0))
+
+
+def _circumradius(dims):
+    return 0.5 * math.hypot(dims[1], dims[2])
+
+
+@st.composite
+def random_pairs(draw):
+    (x, y, z), da, db = draw(_CENTER), draw(_DIMS), draw(_DIMS)
+    dx, dy, dz = draw(st.floats(-8, 8)), draw(st.floats(-3, 3)), draw(st.floats(-8, 8))
+    return _box(x, y, z, da, draw(_YAW)), _box(x + dx, y + dy, z + dz, db, draw(_YAW))
+
+
+@st.composite
+def identical_pairs(draw):
+    (x, y, z), dims, yaw = draw(_CENTER), draw(_DIMS), draw(_YAW)
+    return _box(x, y, z, dims, yaw), _box(x, y, z, dims, yaw)
+
+
+@st.composite
+def near_touching_pairs(draw, dims=_DIMS, extra=st.just(0.0)):
+    """Centre distance within 2% of the sum of circumradii, plus `extra`."""
+    (x, y, z), da, db = draw(_CENTER), draw(dims), draw(dims)
+    d = (_circumradius(da) + _circumradius(db)) * draw(st.floats(0.98, 1.02)) + draw(extra)
+    t = draw(st.floats(0.0, 2.0 * math.pi))
+    a = _box(x, y, z, da, draw(_YAW))
+    return a, _box(x + d * math.cos(t), y + draw(st.floats(-1, 1)), z + d * math.sin(t), db, draw(_YAW))
+
+
+@st.composite
+def vertically_disjoint_pairs(draw):
+    """b's BEV centre lies inside a's footprint, b sits above or below a."""
+    (x, y, z), da, db = draw(_CENTER), draw(_DIMS), draw(_DIMS)
+    gap = draw(st.floats(0.0, 2.0))
+    yb = y + db[0] + gap if draw(st.booleans()) else y - da[0] - gap
+    dx, dz = draw(st.floats(-0.07, 0.07)), draw(st.floats(-0.07, 0.07))
+    return _box(x, y, z, da, draw(_YAW)), _box(x + dx, yb, z + dz, db, draw(_YAW))
+
+
+class TestIouMatchesReference:
+    """Bit-for-bit agreement of the fast path with the reference oracle."""
+
+    @pytest.mark.parametrize("pairs", [
+        pytest.param(random_pairs(), id="random"),
+        pytest.param(identical_pairs(), id="identical"),
+        pytest.param(near_touching_pairs(), id="near-touching"),
+        # footprints under a millimetre, just beyond the prefilter's margin:
+        # there the clip's on-edge tolerance reaches farther than the margin
+        pytest.param(near_touching_pairs(_TINY_DIMS, st.floats(0.0, 2e-5)), id="tiny-near-touching"),
+        pytest.param(vertically_disjoint_pairs(), id="vertically-disjoint"),
+    ])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_iou_bit_identical(self, pairs, data):
+        a, b = data.draw(pairs)
+        for p, q in ((a, b), (b, a)):
+            assert iou_bev(p, q) == ref_iou_bev(p, q)
+            assert iou_3d(p, q) == ref_iou_3d(p, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=3, max_size=8))
+    def test_polygon_area_bit_identical(self, vertices):
+        assert polygon_area(vertices) == ref_polygon_area(vertices)
+
+
+class TestZeroOverlapShortcut:
+    """Pairs that cannot overlap return 0.0 without clipping polygons."""
+
+    @pytest.fixture
+    def no_clip(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("polygon clip reached")
+
+        monkeypatch.setattr(geometry, "polygon_intersection_area", fail)
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.4, -2.0])
+    def test_apart_circumcircles_skip_the_clip(self, no_clip, yaw):
+        a = make_box(h=1.5, w=1.6, l=3.9, yaw=yaw)
+        reach = 2.0 * 0.5 * math.hypot(1.6, 3.9)
+        for t in (0.0, 1.0, 2.5):
+            b = make_box(x=1.001 * reach * math.cos(t), z=1.001 * reach * math.sin(t), yaw=-yaw)
+            assert iou_bev(a, b) == 0.0 and iou_bev(b, a) == 0.0
+            assert iou_3d(a, b) == 0.0 and iou_3d(b, a) == 0.0
+
+    def test_vertically_disjoint_skips_the_clip(self, no_clip):
+        a = make_box(h=1.5)
+        b = make_box(h=1.5, y=-1.5, yaw=0.3)
+        assert iou_3d(a, b) == 0.0 and iou_3d(b, a) == 0.0
