@@ -41,6 +41,8 @@ DEFAULTS = {
     "beta": 1.0,
     "iou_kind": "bev",
 }
+# Keys a config file may set: the ones resolve() reads.
+CONFIG_KEYS = frozenset(DEFAULTS) | {"latency_trace"}
 
 
 def read_config_file(path: str) -> Dict[str, str]:
@@ -53,7 +55,10 @@ def read_config_file(path: str) -> Dict[str, str]:
             if "=" not in line:
                 raise ParseError("config line %d: expected key = value" % lineno)
             key, value = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in CONFIG_KEYS:
+                raise ParseError("config line %d: unknown key %r" % (lineno, key))
+            cfg[key] = value.strip()
     return cfg
 
 

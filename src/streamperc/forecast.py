@@ -112,18 +112,19 @@ def kf_predict(s: TrackState, dt: float, cfg: KfConfig) -> TrackState:
 def kf_update(s: TrackState, z: np.ndarray, cfg: KfConfig) -> TrackState:
     """Standard Kalman update with yaw-wrapped innovation and Joseph form."""
     z = np.asarray(z, dtype=float)
-    h = np.zeros((MEAS_DIM, STATE_DIM))
-    h[:MEAS_DIM, :MEAS_DIM] = np.eye(MEAS_DIM)
     r = cfg.measurement_noise()
-    innovation = z - h @ s.mean
+    # The measurement matrix selects the first MEAS_DIM state entries, so
+    # its products are slices of the state and covariance.
+    innovation = z - s.mean[:MEAS_DIM]
     innovation[3] = normalize_angle(innovation[3])
-    s_mat = h @ s.covariance @ h.T + r
+    s_mat = s.covariance[:MEAS_DIM, :MEAS_DIM] + r
     try:
-        k = s.covariance @ h.T @ np.linalg.inv(s_mat)
+        k = s.covariance[:, :MEAS_DIM] @ np.linalg.inv(s_mat)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("innovation covariance is singular") from exc
     mean = s.mean + k @ innovation
-    ikh = np.eye(STATE_DIM) - k @ h
+    ikh = np.eye(STATE_DIM)
+    ikh[:, :MEAS_DIM] -= k
     cov = ikh @ s.covariance @ ikh.T + k @ r @ k.T
     cov = 0.5 * (cov + cov.T)
     return replace(s, mean=mean, covariance=cov)

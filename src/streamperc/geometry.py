@@ -6,6 +6,7 @@ is (x, z); yaw rotates the l x w footprint about the vertical (y) axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,12 +32,13 @@ def normalize_angle(a: float) -> float:
     return a
 
 
-@dataclass
+@dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center (x, y, z), dims (h, w, l), yaw about vertical.
 
     y is the *bottom* center per KITTI convention; the box spans [y-h, y]
-    vertically.
+    vertically. Boxes are immutable, so the BEV footprint is computed on
+    first use and cached on the box.
     """
 
     center: tuple  # (x, y, z) meters
@@ -50,7 +52,14 @@ class Box3D:
         h, w, l = self.dims
         if not all(0 < d < math.inf for d in (h, w, l)):
             raise ValueError("box dims must be positive and finite, got %r" % (self.dims,))
-        self.yaw = normalize_angle(self.yaw)
+        object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+
+    @functools.cached_property
+    def corners(self) -> np.ndarray:
+        """bev_corners of this box, built on first use; read-only."""
+        pts = bev_corners(self)
+        pts.flags.writeable = False
+        return pts
 
     @property
     def volume(self) -> float:
@@ -140,12 +149,16 @@ def polygon_intersection_area(a: Sequence, b: Sequence) -> float:
         a = a[::-1]
     if polygon_area(b) < 0:
         b = b[::-1]
-    poly = a.tolist()
-    b = b.tolist()
-    for i in range(len(b)):
+    return _clip_area(a.tolist(), b.tolist())
+
+
+def _clip_area(poly: list, clip: list) -> float:
+    """Intersection area of two convex counter-clockwise polygons given as
+    lists of (x, z) float pairs, each with at least 3 vertices."""
+    for i in range(len(clip)):
         if len(poly) < 3:
             return 0.0
-        poly = _clip_polygon(poly, b[i - 1], b[i])
+        poly = _clip_polygon(poly, clip[i - 1], clip[i])
     if len(poly) < 3:
         return 0.0
     return abs(polygon_area(np.asarray(poly)))
@@ -166,7 +179,7 @@ def _bev_intersection(a: Box3D, b: Box3D) -> float:
     dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
     if dx * dx + dz * dz > reach * reach:
         return 0.0
-    return polygon_intersection_area(bev_corners(a), bev_corners(b))
+    return _clip_area(a.corners.tolist(), b.corners.tolist())
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:

@@ -7,6 +7,7 @@ Ground-truth files carry 17 fields, detection dumps 18 (trailing score).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,7 +19,7 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledBox:
     frame_index: int
     track_id: int  # -1 when absent
@@ -46,6 +47,11 @@ class LabeledBox:
             class_id=class_id,
             track_id=tid,
         )
+
+    @functools.cached_property
+    def box3d(self) -> Box3D:
+        """to_box3d() with class id 0, built on first use."""
+        return self.to_box3d()
 
 
 @dataclass

@@ -79,7 +79,7 @@ def match_frame(
     ignorable: List[int] = []
     gt_boxes: List[Optional[Box3D]] = []
     for gi, g in enumerate(gts):
-        gt_boxes.append(g.to_box3d())
+        gt_boxes.append(g.box3d)
         if g.class_name == "DontCare":
             ignorable.append(gi)
         elif difficulty_of(g) <= level:

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from streamperc import cli
+from streamperc import cli, geometry
 from streamperc.grid_ops import read_fgrd, write_fgrd
 from streamperc.kitti_io import format_tracking_labels
 
@@ -322,6 +322,30 @@ class TestLkbb:
             assert "data error" in capsys.readouterr().err, line
 
 
+class TestFootprintCache:
+    def test_one_corner_build_per_box(self, tmp_path, monkeypatch):
+        # two overlapping cars, so every detection/ground-truth pair of the
+        # 12 Car cells and their PR dump reaches the polygon clip
+        world = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0) for i in range(2)]}
+        dets = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0, score=0.9 - 0.1 * i)
+                    for i in range(2)]}
+        gt = write_labels(tmp_path / "gt.txt", world)
+        det = write_labels(tmp_path / "det.txt", dets)
+        built = []
+        orig = geometry.bev_corners
+
+        def counting(box):
+            built.append(id(box))
+            return orig(box)
+
+        monkeypatch.setattr(geometry, "bev_corners", counting)
+        assert cli.main(["eval", "--gt", gt, "--det", det,
+                         "--output", str(tmp_path / "r")]) == 0
+        assert len(built) == len(set(built)) == 4
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert all(r["ap"] == pytest.approx(1.0) for r in payload["results"]
+                   if r["class"] == "Car")
+
 class TestConfigPrecedence:
     def test_config_file_overrides_defaults(self, tmp_path):
         gt = write_labels(tmp_path / "gt.txt", simple_world())
@@ -360,6 +384,24 @@ class TestConfigPrecedence:
         assert cli.main(["--config", str(cfg), "lkbb", "--chain", str(chain)]) == 3
         capsys.readouterr()
 
+
+    @pytest.mark.parametrize("line, key", [
+        ("skip_stale = true", "skip_stale"),
+        ("no-range-filter = true", "no_range_filter"),
+        ("latncy_ms = 150", "latncy_ms"),
+    ])
+    def test_unread_key_is_data_error(self, tmp_path, capsys, line, key):
+        # a key that no option reads used to be dropped without a word
+        gt = write_labels(tmp_path / "gt.txt", simple_world())
+        det = write_labels(tmp_path / "det.txt", simple_world(score=0.9))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("latency_ms = 150\n%s\n" % line)
+        rc = cli.main(["--config", str(cfg), "stream-eval", "--gt", gt, "--det", det,
+                       "--output", str(tmp_path / "r")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "line 2" in err and repr(key) in err
+        assert not (tmp_path / "r.json").exists()
 
 class TestBadLabels:
     @pytest.mark.parametrize("bad", [

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from streamperc.forecast import (
+    MEAS_DIM,
+    STATE_DIM,
     KfConfig,
+    TrackState,
     StreamerTracker,
     associate,
     forecast_boxes,
@@ -12,6 +15,8 @@ from streamperc.forecast import (
     new_track,
     streamer_step,
 )
+
+from streamperc.geometry import normalize_angle
 
 from conftest import make_box
 
@@ -84,6 +89,37 @@ class TestKfUpdate:
             t = kf_update(t, z, cfg)
         pred = kf_predict(t, 1.0, cfg)
         assert pred.mean[0] == pytest.approx(4.0, abs=1e-9)
+
+
+def ref_kf_update(s, z, cfg):
+    """Oracle: the Kalman update written with an explicit selector matrix h."""
+    z = np.asarray(z, dtype=float)
+    h = np.zeros((MEAS_DIM, STATE_DIM))
+    h[:MEAS_DIM, :MEAS_DIM] = np.eye(MEAS_DIM)
+    r = cfg.measurement_noise()
+    innovation = z - h @ s.mean
+    innovation[3] = normalize_angle(innovation[3])
+    s_mat = h @ s.covariance @ h.T + r
+    k = s.covariance @ h.T @ np.linalg.inv(s_mat)
+    mean = s.mean + k @ innovation
+    ikh = np.eye(STATE_DIM) - k @ h
+    cov = ikh @ s.covariance @ ikh.T + k @ r @ k.T
+    return mean, 0.5 * (cov + cov.T)
+
+
+class TestKfUpdateMatchesReference:
+    def test_bit_identical_on_random_states(self, rng):
+        for _ in range(500):
+            a = rng.normal(size=(STATE_DIM, STATE_DIM)) * rng.uniform(0.01, 10.0)
+            cov = a @ a.T + np.eye(STATE_DIM) * rng.uniform(1e-6, 1.0)
+            t = TrackState(id=0, mean=rng.normal(scale=20.0, size=STATE_DIM), covariance=cov)
+            z = t.mean[:MEAS_DIM] + rng.normal(scale=2.0, size=MEAS_DIM)
+            z[3] = rng.uniform(-np.pi, np.pi)
+            cfg = KfConfig(measurement_variance=rng.uniform(1e-6, 1.0))
+            u = kf_update(t, z, cfg)
+            mean, cov = ref_kf_update(t, z, cfg)
+            assert np.array_equal(u.mean, mean)
+            assert np.array_equal(u.covariance, cov)
 
 
 class TestAssociate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -333,6 +334,23 @@ class TestBox3D:
         with pytest.raises(ValueError, match="dims must be positive"):
             Box3D(center=(0.0, 0.0, 10.0), dims=dims, yaw=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("center", (1.0, 0.0, 10.0)), ("dims", (1.5, 1.6, 4.0)), ("yaw", 0.5),
+        ("score", 0.5), ("class_id", 1), ("track_id", 3),
+    ])
+    def test_fields_are_frozen(self, field, value):
+        # the cached footprint would go stale if a field could change
+        box = make_box(z=10.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(box, field, value)
+
+    def test_corners_cached_and_read_only(self):
+        box = make_box(x=1.0, z=10.0, yaw=0.3)
+        assert box.corners is box.corners
+        assert np.array_equal(box.corners, bev_corners(box))
+        with pytest.raises(ValueError):
+            box.corners[0, 0] = 0.0
+
 
 def _box(x, y, z, dims, yaw):
     return Box3D(center=(x, y, z), dims=dims, yaw=yaw)
@@ -415,7 +433,7 @@ class TestZeroOverlapShortcut:
         def fail(*args):
             raise AssertionError("polygon clip reached")
 
-        monkeypatch.setattr(geometry, "polygon_intersection_area", fail)
+        monkeypatch.setattr(geometry, "_clip_area", fail)
 
     @pytest.mark.parametrize("yaw", [0.0, 0.4, -2.0])
     def test_apart_circumcircles_skip_the_clip(self, no_clip, yaw):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from streamperc.kitti_io import (
@@ -29,6 +31,21 @@ class TestParse:
     def test_detection_score(self):
         box = parse_tracking_labels(DET_LINE)[0][0]
         assert box.score == pytest.approx(0.87)
+
+    @pytest.mark.parametrize("field, value", [
+        ("location", (0.0, 1.5, 11.0)), ("dims", (1.5, 1.6, 4.0)), ("rotation_y", 0.5),
+        ("class_name", "Van"), ("score", 0.5), ("occlusion", 2),
+    ])
+    def test_fields_are_frozen(self, field, value):
+        # box3d is cached on the label, so no field may change under it
+        box = parse_tracking_labels(GT_LINE)[0][0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(box, field, value)
+
+    def test_box3d_built_once(self):
+        box = parse_tracking_labels(GT_LINE)[0][0]
+        assert box.box3d is box.box3d
+        assert box.box3d == box.to_box3d()
 
     def test_empty_input(self):
         assert parse_tracking_labels("") == {}
