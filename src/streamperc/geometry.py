@@ -37,8 +37,9 @@ class Box3D:
     """Oriented 3D box: center (x, y, z), dims (h, w, l), yaw about vertical.
 
     y is the *bottom* center per KITTI convention; the box spans [y-h, y]
-    vertically. Boxes are immutable, so the BEV footprint is computed on
-    first use and cached on the box.
+    vertically. Boxes are immutable, so the BEV footprint and the clipped
+    intersection with each other box are computed on first use and kept on
+    the box.
     """
 
     center: tuple  # (x, y, z) meters
@@ -53,6 +54,10 @@ class Box3D:
         if not all(0 < d < math.inf for d in (h, w, l)):
             raise ValueError("box dims must be positive and finite, got %r" % (self.dims,))
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+        # id(b) -> (b, area of this footprint clipped by b's). Set here, not
+        # cached on first use: on CPython 3.11 an attribute added after the
+        # instance dict exists costs about 300 bytes more per box.
+        object.__setattr__(self, "_overlaps", {})
 
     @functools.cached_property
     def corners(self) -> np.ndarray:
@@ -170,7 +175,10 @@ def _bev_intersection(a: Box3D, b: Box3D) -> float:
     Returns 0.0 without clipping when the circumscribed circles lie farther
     apart than the clip's on-edge tolerance (_EDGE_EPS over b's shorter
     side) plus _PREFILTER_GAP: clipping then keeps no vertex and returns 0.0
-    as well. NaN distances fail the strict test and are clipped.
+    as well. NaN distances fail the strict test and are clipped. Each pair is
+    clipped once: the area is kept on a together with b itself, so b's id
+    cannot be reused while the entry lives. The key is ordered, because
+    clipping b by a can differ in the last bit.
     """
     _, wa, la = a.dims
     _, wb, lb = b.dims
@@ -179,7 +187,12 @@ def _bev_intersection(a: Box3D, b: Box3D) -> float:
     dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
     if dx * dx + dz * dz > reach * reach:
         return 0.0
-    return _clip_area(a.corners.tolist(), b.corners.tolist())
+    entry = a._overlaps.get(id(b))
+    if entry is not None and entry[0] is b:
+        return entry[1]
+    area = _clip_area(a.corners.tolist(), b.corners.tolist())
+    a._overlaps[id(b)] = (b, area)
+    return area
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:

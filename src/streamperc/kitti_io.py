@@ -1,4 +1,5 @@
-"""KITTI-Tracking label parsing, sequence splitting and range filtering.
+"""KITTI-Tracking label parsing, difficulty tiers, sequence splitting and
+range filtering.
 
 Label lines are whitespace separated:
   frame track_id type truncated occluded alpha x1 y1 x2 y2 h w l x y z rot_y [score]
@@ -9,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import IntEnum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D
@@ -17,6 +19,21 @@ from .geometry import Box3D
 
 class ParseError(ValueError):
     pass
+
+
+class Difficulty(IntEnum):
+    EASY = 0
+    MODERATE = 1
+    HARD = 2
+    IGNORED = 3
+
+
+# (min bbox height px, max occlusion, max truncation) per level.
+DIFFICULTY_THRESHOLDS = {
+    Difficulty.EASY: (40.0, 0, 0.15),
+    Difficulty.MODERATE: (25.0, 1, 0.30),
+    Difficulty.HARD: (25.0, 2, 0.50),
+}
 
 
 @dataclass(frozen=True)
@@ -32,6 +49,12 @@ class LabeledBox:
     location: Tuple[float, float, float]  # x, y, z camera frame
     rotation_y: float
     score: Optional[float] = None  # detections only
+    # difficulty_of(self), set at construction for the same memory reason
+    # as Box3D._overlaps
+    difficulty: Difficulty = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "difficulty", difficulty_of(self))
 
     @property
     def bbox_height(self) -> float:
@@ -52,6 +75,18 @@ class LabeledBox:
     def box3d(self) -> Box3D:
         """to_box3d() with class id 0, built on first use."""
         return self.to_box3d()
+
+
+def difficulty_of(gt: LabeledBox) -> Difficulty:
+    for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
+        min_h, max_occ, max_trunc = DIFFICULTY_THRESHOLDS[level]
+        if (
+            gt.bbox_height >= min_h
+            and gt.occlusion <= max_occ
+            and gt.truncation <= max_trunc
+        ):
+            return level
+    return Difficulty.IGNORED
 
 
 @dataclass

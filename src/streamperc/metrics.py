@@ -1,4 +1,5 @@
-"""KITTI-style difficulty tiers, greedy matching, PR curves and AP-R40.
+"""Greedy matching, PR curves and AP-R40 over KITTI difficulty tiers
+(`kitti_io.Difficulty`, re-exported here).
 
 Evaluation at level L takes ground truth of difficulty <= L as in-scope;
 stricter GT, DontCare rows, and GT that never qualifies are ignore-matched
@@ -8,42 +9,14 @@ stricter GT, DontCare rows, and GT that never qualifies are ignore-matched
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D, iou_bev, iou_3d
-from .kitti_io import LabeledBox
+from .kitti_io import DIFFICULTY_THRESHOLDS, Difficulty, LabeledBox, difficulty_of
 
 N_RECALL_POSITIONS = 40
 DEFAULT_IOU_THRESHOLDS = (0.7, 0.5)
 DEFAULT_CLASSES = ("Car", "Pedestrian", "Cyclist")
-
-
-class Difficulty(IntEnum):
-    EASY = 0
-    MODERATE = 1
-    HARD = 2
-    IGNORED = 3
-
-
-# (min bbox height px, max occlusion, max truncation) per level.
-DIFFICULTY_THRESHOLDS = {
-    Difficulty.EASY: (40.0, 0, 0.15),
-    Difficulty.MODERATE: (25.0, 1, 0.30),
-    Difficulty.HARD: (25.0, 2, 0.50),
-}
-
-
-def difficulty_of(gt: LabeledBox) -> Difficulty:
-    for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
-        min_h, max_occ, max_trunc = DIFFICULTY_THRESHOLDS[level]
-        if (
-            gt.bbox_height >= min_h
-            and gt.occlusion <= max_occ
-            and gt.truncation <= max_trunc
-        ):
-            return level
-    return Difficulty.IGNORED
 
 
 @dataclass
@@ -82,7 +55,7 @@ def match_frame(
         gt_boxes.append(g.box3d)
         if g.class_name == "DontCare":
             ignorable.append(gi)
-        elif difficulty_of(g) <= level:
+        elif g.difficulty <= level:
             in_scope.append(gi)
         else:
             ignorable.append(gi)

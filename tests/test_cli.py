@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -345,6 +346,32 @@ class TestFootprintCache:
         payload = json.loads((tmp_path / "r.json").read_text())
         assert all(r["ap"] == pytest.approx(1.0) for r in payload["results"]
                    if r["class"] == "Car")
+
+
+class TestOverlapMemo:
+    def test_one_clip_per_box_pair(self, tmp_path, monkeypatch):
+        # two cars and two detections turned a quarter: each detection
+        # overlaps both cars with IoU below 0.5, so matching tries every
+        # pair in each of the 12 Car cells and in the PR dump
+        world = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0) for i in range(2)]}
+        dets = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0, yaw=math.pi / 2,
+                            score=0.9 - 0.1 * i) for i in range(2)]}
+        gt = write_labels(tmp_path / "gt.txt", world)
+        det = write_labels(tmp_path / "det.txt", dets)
+        clipped = []
+        orig = geometry._clip_area
+
+        def counting(poly, clip):
+            clipped.append((tuple(map(tuple, poly)), tuple(map(tuple, clip))))
+            return orig(poly, clip)
+
+        monkeypatch.setattr(geometry, "_clip_area", counting)
+        assert cli.main(["eval", "--gt", gt, "--det", det,
+                         "--output", str(tmp_path / "r")]) == 0
+        assert len(clipped) == len(set(clipped)) == 4
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert all(r["ap"] == 0.0 for r in payload["results"] if r["class"] == "Car")
+
 
 class TestConfigPrecedence:
     def test_config_file_overrides_defaults(self, tmp_path):

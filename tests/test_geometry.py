@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -448,3 +449,47 @@ class TestZeroOverlapShortcut:
         a = make_box(h=1.5)
         b = make_box(h=1.5, y=-1.5, yaw=0.3)
         assert iou_3d(a, b) == 0.0 and iou_3d(b, a) == 0.0
+
+
+class TestOverlapMemo:
+    """Repeated IoU calls on the same box objects reuse each pair's clip and
+    stay bit-exact with the reference oracle."""
+
+    @staticmethod
+    def assert_matches_reference(a, b):
+        for p, q in ((a, b), (b, a)):
+            assert iou_bev(p, q) == ref_iou_bev(p, q)
+            assert iou_3d(p, q) == ref_iou_3d(p, q)
+
+    def test_repeated_interleaved_calls(self, rng):
+        a = make_box(x=0.3, z=10.0, yaw=0.4)
+        others = [
+            make_box(x=x, y=y, z=10.0 + dz, h=h, w=w, l=l, yaw=yaw)
+            for x, y, dz, h, w, l, yaw in zip(
+                rng.uniform(-2, 2, 8), rng.uniform(-1, 1, 8), rng.uniform(-2, 2, 8),
+                rng.uniform(0.5, 3, 8), rng.uniform(0.5, 3, 8), rng.uniform(0.5, 6, 8),
+                rng.uniform(-math.pi, math.pi, 8),
+            )
+        ]
+        for _ in range(3):
+            for b in others:
+                self.assert_matches_reference(a, b)
+                assert iou_3d(b, a) == ref_iou_3d(b, a)
+                assert iou_bev(a, b) == ref_iou_bev(a, b)
+
+    def test_new_box_after_free_misses(self):
+        a = make_box(x=0.3, z=10.0, yaw=0.4)
+        b = make_box(x=1.0, z=10.5, yaw=-0.2)
+        self.assert_matches_reference(a, b)
+        del b
+        gc.collect()
+        for i in range(20):
+            c = make_box(x=-0.5 + 0.1 * i, z=9.0, w=1.0, l=2.0 + 0.1 * i, yaw=0.1 * i)
+            self.assert_matches_reference(a, c)
+
+    def test_stale_entry_is_ignored(self):
+        # an entry whose box is not the one looked up must never be returned
+        a = make_box(x=0.3, z=10.0, yaw=0.4)
+        b = make_box(x=1.0, z=10.5, yaw=-0.2)
+        a._overlaps[id(b)] = (make_box(x=50.0), 123.0)
+        self.assert_matches_reference(a, b)

@@ -2,8 +2,10 @@ import dataclasses
 
 import pytest
 
+from streamperc import kitti_io
 from streamperc.kitti_io import (
     DEFAULT_EVAL_RANGE,
+    Difficulty,
     ParseError,
     apply_range_filter,
     format_tracking_labels,
@@ -46,6 +48,19 @@ class TestParse:
         box = parse_tracking_labels(GT_LINE)[0][0]
         assert box.box3d is box.box3d
         assert box.box3d == box.to_box3d()
+
+    def test_difficulty_computed_once(self, monkeypatch):
+        calls = []
+        orig = kitti_io.difficulty_of
+
+        def counting(gt):
+            calls.append(gt)
+            return orig(gt)
+
+        monkeypatch.setattr(kitti_io, "difficulty_of", counting)
+        box = parse_tracking_labels(GT_LINE)[0][0]
+        assert box.difficulty == box.difficulty == Difficulty.EASY
+        assert calls == [box]
 
     def test_empty_input(self):
         assert parse_tracking_labels("") == {}

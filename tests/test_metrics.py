@@ -1,5 +1,6 @@
 import pytest
 
+from streamperc import kitti_io, metrics
 from streamperc.metrics import (
     DEFAULT_CLASSES,
     Difficulty,
@@ -78,6 +79,19 @@ class TestMatchFrame:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             match_frame([], [], 0.0, Difficulty.EASY)
+
+    def test_reads_stored_difficulty(self, monkeypatch):
+        gts = [make_gt(track_id=0), make_gt(track_id=1, x=10.0, bbox_height=30, occlusion=1)]
+        preds = [make_box(z=10.0, score=0.9), make_box(x=10.0, z=10.0, score=0.8)]
+
+        def fail(gt):
+            raise AssertionError("difficulty recomputed")
+
+        monkeypatch.setattr(kitti_io, "difficulty_of", fail)
+        monkeypatch.setattr(metrics, "difficulty_of", fail)
+        res = match_frame(preds, gts, 0.5, Difficulty.EASY)
+        assert res.det_records == [(0.9, "tp")]
+        assert res.n_in_scope_gt == 1
 
 
 def exhaustive_ap_oracle(preds, gts, iou_threshold, level, kind="bev"):
