@@ -3,14 +3,7 @@ Kalman forecasting baseline, feature-flow fusion, a motion-consistency
 loss and large-kernel backbone structure checks."""
 
 from .geometry import Box3D, bev_corners, iou_bev, iou_3d, iou_matrix
-from .kitti_io import (
-    DEFAULT_EVAL_RANGE,
-    LabeledBox,
-    SequenceSplit,
-    apply_range_filter,
-    parse_tracking_labels,
-    split_sequences,
-)
+from .kitti_io import DEFAULT_EVAL_RANGE, LabeledBox, apply_range_filter, parse_tracking_labels
 from .grid_ops import ConvSpec, bilinear_resize, bilinear_sample, conv2d, max_pool, transpose_conv2d
 from .feature_flow import compute_flow, fuse, shift_set, similarity_volume, argmax_flow, warp_pseudo_next
 from .motion_loss import mcl, offset_loss, pose_offset, smooth_l1, total_loss

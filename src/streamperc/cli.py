@@ -14,7 +14,8 @@ import csv
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,23 +105,67 @@ def _boxes_to_preds(
     return out
 
 
-def _parse_classes(args) -> List[str]:
+def _parse_classes(args) -> Tuple[List[str], Dict[str, int]]:
+    """Class names in order and their ids; a name given twice keeps the
+    index of its last position, as metrics.cell_records numbers it."""
     classes = [c.strip() for c in str(resolve(args, "classes")).split(",") if c.strip()]
     if not classes:
         raise ParseError("--classes names no class")
-    return classes
+    return classes, {name: i for i, name in enumerate(classes)}
 
 
 def _parse_thresholds(args) -> List[float]:
     thresholds = [float(v) for v in str(resolve(args, "iou")).split(",") if v]
     if not thresholds:
         raise ParseError("--iou names no threshold")
+    for thr in thresholds:
+        if not 0.0 < thr <= 1.0:
+            raise ParseError("--iou threshold %r is outside (0, 1]" % thr)
     return thresholds
 
 
-def _write_report(out_prefix: str, cells, config: dict, extra: Optional[dict] = None):
+@dataclass
+class _LabelOptions:
+    """The options of eval, stream-eval or streamer, each parsed once."""
+
+    classes: List[str]
+    class_ids: Dict[str, int]
+    thresholds: List[float]
+    config: dict  # the report's "config" object
+    trace: Optional[List[float]]  # per-frame latencies, or None for a constant
+
+
+def _label_options(args, mode: str) -> _LabelOptions:
+    classes, class_ids = _parse_classes(args)
+    thresholds = _parse_thresholds(args)
+    config = {
+        "mode": mode,
+        "classes": classes,
+        "iou_thresholds": thresholds,
+        "range_filter": not args.no_range_filter,
+        "eval_range": DEFAULT_EVAL_RANGE,
+    }
+    trace = None
+    if mode != "offline":
+        trace_path = resolve(args, "latency_trace")
+        if trace_path:
+            with open(trace_path) as f:
+                trace = [float(line) for line in f if line.strip()]
+        config.update(
+            interval_ms=resolve(args, "interval_ms", float),
+            latency="trace" if trace_path else resolve(args, "latency_ms", float),
+            skip_stale=bool(args.skip_stale),
+        )
+    return _LabelOptions(classes, class_ids, thresholds, config, trace)
+
+
+def _write_ap_report(args, opts: _LabelOptions, pairs, extra=None, pr_dump=True) -> None:
+    """Evaluate the pairs; write the AP table as .json and .csv, print it,
+    and unless pr_dump is False write the precision-recall curves as
+    _pr.dat (gnuplot blocks of recall precision score)."""
+    cells = metrics.evaluate_pairs(pairs, opts.classes, opts.thresholds)
     payload = {
-        "config": config,
+        "config": opts.config,
         "results": [
             {
                 "class": c.class_name,
@@ -134,10 +179,10 @@ def _write_report(out_prefix: str, cells, config: dict, extra: Optional[dict] = 
     }
     if extra:
         payload.update(extra)
-    with open(out_prefix + ".json", "w") as f:
+    with open(args.output + ".json", "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(out_prefix + ".csv", "w", newline="") as f:
+    with open(args.output + ".csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["class", "kind", "iou", "level", "ap"])
         for c in cells:
@@ -156,29 +201,16 @@ def _write_report(out_prefix: str, cells, config: dict, extra: Optional[dict] = 
             "%-10s %-3s iou=%.2f %-8s AP=%s"
             % (c.class_name, c.iou_kind, c.iou_threshold, c.level, ap)
         )
-
-
-def _write_pr_curves(out_prefix: str, pairs, classes, thresholds, class_ids):
-    """Gnuplot-compatible dump: blank-line separated blocks of recall precision."""
-    with open(out_prefix + "_pr.dat", "w") as f:
+    if not pr_dump:
+        return
+    with open(args.output + "_pr.dat", "w") as f:
         for cls_name, kind, thr, level, records, n_gt in metrics.cell_records(
-            pairs, classes, thresholds, class_ids=class_ids
+            pairs, opts.classes, opts.thresholds
         ):
             f.write("# %s %s iou=%.2f %s\n" % (cls_name, kind, thr, level.name.lower()))
             for score, prec, rec in metrics.pr_curve(records, n_gt):
                 f.write("%.6f %.6f %.6f\n" % (rec, prec, score))
             f.write("\n\n")
-
-
-def _resolved_config(args, **extra) -> dict:
-    cfg = {
-        "classes": _parse_classes(args),
-        "iou_thresholds": _parse_thresholds(args),
-        "range_filter": not getattr(args, "no_range_filter", False),
-        "eval_range": DEFAULT_EVAL_RANGE,
-    }
-    cfg.update(extra)
-    return cfg
 
 
 def _filtered_gts(gts: Dict[int, List[LabeledBox]], enabled: bool):
@@ -188,10 +220,8 @@ def _filtered_gts(gts: Dict[int, List[LabeledBox]], enabled: bool):
 
 
 def cmd_eval(args) -> int:
-    classes = _parse_classes(args)
-    class_ids = {name: i for i, name in enumerate(classes)}
-    thresholds = _parse_thresholds(args)
-    use_range = not args.no_range_filter
+    opts = _label_options(args, "offline")
+    use_range = opts.config["range_filter"]
     pairs = []
     missing_frames = []
     for name, gts, dets in _load_sequences(args.gt, args.det):
@@ -199,83 +229,56 @@ def cmd_eval(args) -> int:
         for frame in sorted(gts):
             if frame not in dets:
                 missing_frames.append({"sequence": name, "frame": frame})
-            preds = _boxes_to_preds(dets.get(frame, []), class_ids, use_range)
+            preds = _boxes_to_preds(dets.get(frame, []), opts.class_ids, use_range)
             pairs.append((preds, gts[frame]))
-    cells = metrics.evaluate_pairs(pairs, classes, thresholds, class_ids=class_ids)
-    config = _resolved_config(args, mode="offline")
-    _write_report(args.output, cells, config, {"missing_frames": missing_frames})
-    _write_pr_curves(args.output, pairs, classes, thresholds, class_ids)
+    _write_ap_report(args, opts, pairs, {"missing_frames": missing_frames})
     return 0
 
 
-def _stream_sequences(args, class_ids: Dict[str, int]):
+def _stream_sequences(args, opts: _LabelOptions):
     """Yield (schedule, outputs, gts) per sequence.
 
     The schedule simulates the worker on the sequence's frames; outputs are
     range-filtered Box3D detections per frame and gts the range-filtered
     ground truth. Every sequence uses the first n_frames entries of the one
-    latency trace.
+    latency trace. No sequence at all is a data error.
     """
-    use_range = not args.no_range_filter
-    interval = float(resolve(args, "interval_ms", float))
-    trace = None
-    trace_path = resolve(args, "latency_trace")
-    if trace_path:
-        with open(trace_path) as f:
-            trace = [float(line) for line in f if line.strip()]
-    for _, gts, dets in _load_sequences(args.gt, args.det):
+    use_range = opts.config["range_filter"]
+    n_sequences = 0
+    for n_sequences, (_, gts, dets) in enumerate(_load_sequences(args.gt, args.det), 1):
         n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
-        if trace is None:
-            latencies = [float(resolve(args, "latency_ms", float))] * n_frames
-        elif len(trace) < n_frames:
+        if opts.trace is None:
+            latencies = [opts.config["latency"]] * n_frames
+        elif len(opts.trace) < n_frames:
             raise ParseError(
-                "latency trace has %d entries for %d frames" % (len(trace), n_frames)
+                "latency trace has %d entries for %d frames" % (len(opts.trace), n_frames)
             )
         else:
-            latencies = trace[:n_frames]
+            latencies = opts.trace[:n_frames]
         schedule = streaming_sim.build_schedule(
-            n_frames, interval, latencies, skip_stale=bool(args.skip_stale)
+            n_frames, opts.config["interval_ms"], latencies, skip_stale=opts.config["skip_stale"]
         )
-        outputs = {k: _boxes_to_preds(v, class_ids, use_range) for k, v in dets.items()}
+        outputs = {k: _boxes_to_preds(v, opts.class_ids, use_range) for k, v in dets.items()}
         yield schedule, outputs, _filtered_gts(gts, use_range)
-
-
-def _write_stream_report(args, mode: str, pairs, classes, class_ids) -> None:
-    if not pairs:
+    if not n_sequences:
         raise ParseError("no sequences to evaluate")
-    cells = metrics.evaluate_pairs(pairs, classes, _parse_thresholds(args), class_ids=class_ids)
-    config = _resolved_config(
-        args,
-        mode=mode,
-        interval_ms=float(resolve(args, "interval_ms", float)),
-        latency=(
-            "trace"
-            if resolve(args, "latency_trace")
-            else float(resolve(args, "latency_ms", float))
-        ),
-        skip_stale=bool(args.skip_stale),
-    )
-    _write_report(args.output, cells, config)
 
 
 def cmd_stream_eval(args) -> int:
-    classes = _parse_classes(args)
-    class_ids = {name: i for i, name in enumerate(classes)}
+    opts = _label_options(args, "streaming")
     all_pairs = []
-    for schedule, outputs, gts in _stream_sequences(args, class_ids):
+    for schedule, outputs, gts in _stream_sequences(args, opts):
         all_pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
-    _write_stream_report(args, "streaming", all_pairs, classes, class_ids)
-    _write_pr_curves(args.output, all_pairs, classes, _parse_thresholds(args), class_ids)
+    _write_ap_report(args, opts, all_pairs)
     return 0
 
 
 def cmd_streamer(args) -> int:
-    classes = _parse_classes(args)
-    class_ids = {name: i for i, name in enumerate(classes)}
+    opts = _label_options(args, "streamer")
     all_pairs = []
     dump_lines = []
-    for schedule, det_boxes, gts in _stream_sequences(args, class_ids):
-        trackers = {c: forecast.StreamerTracker() for c in classes}
+    for schedule, det_boxes, gts in _stream_sequences(args, opts):
+        trackers = {cid: forecast.StreamerTracker() for cid in opts.class_ids.values()}
         last_world_ms = None
         for j, t_query, finished in streaming_sim.finished_by_instant(schedule):
             for ev in finished:
@@ -285,8 +288,7 @@ def cmd_streamer(args) -> int:
                     else schedule.frame_interval_ms
                 )
                 frame_dets = det_boxes.get(ev.frame, [])
-                for cls_name, tracker in trackers.items():
-                    cid = class_ids[cls_name]
+                for cid, tracker in trackers.items():
                     tracker.step(
                         [b for b in frame_dets if b.class_id == cid], dt_ms / 1000.0
                     )
@@ -307,7 +309,7 @@ def cmd_streamer(args) -> int:
                     % (
                         j,
                         p.track_id if p.track_id is not None else -1,
-                        classes[p.class_id],
+                        opts.classes[p.class_id],
                         h,
                         w,
                         l,
@@ -320,7 +322,7 @@ def cmd_streamer(args) -> int:
                 )
     with open(args.output + "_forecasts.txt", "w") as f:
         f.write("\n".join(dump_lines) + ("\n" if dump_lines else ""))
-    _write_stream_report(args, "streamer", all_pairs, classes, class_ids)
+    _write_ap_report(args, opts, all_pairs, pr_dump=False)
     return 0
 
 
@@ -347,8 +349,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_mcl(args) -> int:
-    classes = _parse_classes(args)
-    class_ids = {name: i for i, name in enumerate(classes)}
+    _, class_ids = _parse_classes(args)
 
     def flat_boxes(path):
         frames = _load_label_map(path)

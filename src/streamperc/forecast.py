@@ -10,6 +10,7 @@ targets forecast exactly after two observations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -62,7 +63,7 @@ class TrackState:
         return Box3D(
             center=(m[0], m[1], m[2]),
             dims=(m[6], m[5], m[4]),  # stored l, w, h -> Box3D (h, w, l)
-            yaw=normalize_angle(m[3]),
+            yaw=m[3],  # Box3D wraps it
             score=self.score,
             class_id=self.class_id,
             track_id=self.id,
@@ -75,16 +76,21 @@ def measurement_from_box(box: Box3D) -> np.ndarray:
     return np.array([x, y, z, box.yaw, l, w, h], dtype=float)
 
 
+def _seed_covariance(cfg: KfConfig, velocity_variance: float) -> np.ndarray:
+    """Uncorrelated: measurement noise on pose and dims, then velocities."""
+    cov = np.zeros((STATE_DIM, STATE_DIM))
+    cov[:MEAS_DIM, :MEAS_DIM] = cfg.measurement_noise()
+    cov[MEAS_DIM:, MEAS_DIM:] = np.eye(4) * velocity_variance
+    return cov
+
+
 def new_track(track_id: int, box: Box3D, cfg: KfConfig) -> TrackState:
     mean = np.zeros(STATE_DIM)
     mean[:MEAS_DIM] = measurement_from_box(box)
-    cov = np.zeros((STATE_DIM, STATE_DIM))
-    cov[:MEAS_DIM, :MEAS_DIM] = cfg.measurement_noise()
-    cov[MEAS_DIM:, MEAS_DIM:] = np.eye(4) * cfg.initial_velocity_variance
     return TrackState(
         id=track_id,
         mean=mean,
-        covariance=cov,
+        covariance=_seed_covariance(cfg, cfg.initial_velocity_variance),
         score=box.score,
         class_id=box.class_id,
         last_measurement=mean[:MEAS_DIM].copy(),
@@ -164,18 +170,13 @@ def associate(
 class StreamerTracker:
     """Owns track lifecycle for one sequence; single-threaded."""
 
-    def __init__(self, cfg: Optional[KfConfig] = None):
-        self.cfg = cfg or KfConfig()
+    def __init__(self):
+        self.cfg = KfConfig()
         self.tracks: List[TrackState] = []
-        self._next_id = 0
+        self._alloc_id = itertools.count().__next__
 
     def step(self, dets: Sequence[Box3D], dt: float) -> None:
         self.tracks = streamer_step(self.tracks, dets, dt, self.cfg, self._alloc_id)
-
-    def _alloc_id(self) -> int:
-        tid = self._next_id
-        self._next_id += 1
-        return tid
 
     def forecast(self, dt: float) -> List[Box3D]:
         return forecast_boxes(self.tracks, dt, self.cfg)
@@ -192,12 +193,7 @@ def streamer_step(
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if alloc_id is None:
-        counter = [max((t.id for t in tracks), default=-1) + 1]
-
-        def alloc_id():
-            counter[0] += 1
-            return counter[0] - 1
-
+        alloc_id = itertools.count(max((t.id for t in tracks), default=-1) + 1).__next__
     predicted = [kf_predict(t, dt, cfg) for t in tracks]
     matches, unmatched_t, unmatched_d = associate(
         predicted, dets, cfg.association_iou_threshold
@@ -216,11 +212,7 @@ def streamer_step(
             mean = t.mean.copy()
             mean[:MEAS_DIM] = z
             mean[_VEL] = vel
-            cov = np.zeros((STATE_DIM, STATE_DIM))
-            cov[:MEAS_DIM, :MEAS_DIM] = cfg.measurement_noise()
-            cov[MEAS_DIM:, MEAS_DIM:] = np.eye(4) * (
-                2.0 * cfg.measurement_variance / (dt * dt)
-            )
+            cov = _seed_covariance(cfg, 2.0 * cfg.measurement_variance / (dt * dt))
             t = replace(t, mean=mean, covariance=cov)
         out[i] = replace(
             t,

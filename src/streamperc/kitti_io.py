@@ -1,5 +1,4 @@
-"""KITTI-Tracking label parsing, difficulty tiers, sequence splitting and
-range filtering.
+"""KITTI-Tracking label parsing, difficulty tiers and range filtering.
 
 Label lines are whitespace separated:
   frame track_id type truncated occluded alpha x1 y1 x2 y2 h w l x y z rot_y [score]
@@ -89,13 +88,6 @@ def difficulty_of(gt: LabeledBox) -> Difficulty:
     return Difficulty.IGNORED
 
 
-@dataclass
-class SequenceSplit:
-    sequence_id: int
-    frames: List[int]
-    role: str  # "train" or "test"
-
-
 # Detection-range crop in camera coordinates, (min, max) per axis.
 DEFAULT_EVAL_RANGE = {
     "x": (-28.8, 28.8),
@@ -163,28 +155,10 @@ def format_tracking_labels(frames: Dict[int, List[LabeledBox]]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def split_sequences(frame_count: int, chunk: int = 40) -> List[SequenceSplit]:
-    """Partition [0, frame_count) into consecutive chunks.
-
-    Even-indexed chunks are train, odd-indexed test; the final chunk may be
-    short.
-    """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    if frame_count < 1:
-        raise ValueError("frame_count must be >= 1")
-    splits = []
-    for k, start in enumerate(range(0, frame_count, chunk)):
-        frames = list(range(start, min(start + chunk, frame_count)))
-        splits.append(
-            SequenceSplit(sequence_id=k, frames=frames, role="train" if k % 2 == 0 else "test")
-        )
-    return splits
-
-
-def in_eval_range(center: Sequence[float], rng: dict = DEFAULT_EVAL_RANGE) -> bool:
+def in_eval_range(center: Sequence[float]) -> bool:
     """True when the (x, y, z) center lies inside the closed evaluation range."""
     x, y, z = center
+    rng = DEFAULT_EVAL_RANGE
     return (
         rng["x"][0] <= x <= rng["x"][1]
         and rng["y"][0] <= y <= rng["y"][1]
@@ -192,13 +166,6 @@ def in_eval_range(center: Sequence[float], rng: dict = DEFAULT_EVAL_RANGE) -> bo
     )
 
 
-def apply_range_filter(
-    boxes: Sequence[LabeledBox], eval_range: Optional[dict] = None
-) -> List[LabeledBox]:
+def apply_range_filter(boxes: Sequence[LabeledBox]) -> List[LabeledBox]:
     """Keep boxes whose center lies inside the closed evaluation range."""
-    rng = eval_range if eval_range is not None else DEFAULT_EVAL_RANGE
-    for axis in ("x", "y", "z"):
-        lo, hi = rng[axis]
-        if lo > hi:
-            raise ValueError("range min > max for axis %s" % axis)
-    return [b for b in boxes if in_eval_range(b.location, rng)]
+    return [b for b in boxes if in_eval_range(b.location)]

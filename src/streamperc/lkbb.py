@@ -97,16 +97,6 @@ def lka_chain(channels: int) -> List[LayerSpec]:
     ]
 
 
-def ffn_chain(channels: int, expand: int = 4) -> List[LayerSpec]:
-    """Pointwise expand, depthwise 3x3, pointwise project (accounting only)."""
-    hidden = channels * expand
-    return [
-        LayerSpec("conv", (1, 1), 1, 1, channels, hidden),
-        LayerSpec("dwconv", (3, 3), 1, 1, hidden, hidden),
-        LayerSpec("conv", (1, 1), 1, 1, hidden, channels),
-    ]
-
-
 def lka_forward(
     g: np.ndarray,
     dw5: ConvSpec,

@@ -8,8 +8,10 @@ stricter GT, DontCare rows, and GT that never qualifies are ignore-matched
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D, iou_bev, iou_3d
 from .kitti_io import DIFFICULTY_THRESHOLDS, Difficulty, LabeledBox, difficulty_of
@@ -118,11 +120,13 @@ def ap_r40(
     if n_gt <= 0:
         return None
     points = pr_curve(det_records, n_gt)
+    recalls = [rec for _, _, rec in points]
+    # Recall never falls along the points, so the points reaching recall r
+    # are a suffix; best[k] is the top precision from point k on.
+    best = list(accumulate(reversed([prec for _, prec, _ in points]), max))[::-1] + [0.0]
     total = 0.0
     for i in range(1, N_RECALL_POSITIONS + 1):
-        r = i / N_RECALL_POSITIONS
-        p = max((prec for _, prec, rec in points if rec >= r - 1e-12), default=0.0)
-        total += p
+        total += best[bisect_left(recalls, i / N_RECALL_POSITIONS - 1e-12)]
     return total / N_RECALL_POSITIONS
 
 
@@ -140,14 +144,14 @@ def cell_records(
     classes: Sequence[str] = DEFAULT_CLASSES,
     iou_thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
     iou_kinds: Sequence[str] = ("bev", "3d"),
-    class_ids: Optional[Dict[str, int]] = None,
 ) -> Iterator[Tuple[str, str, float, Difficulty, List[Tuple[float, str]], int]]:
     """Yield (class, kind, threshold, level, records, n_gt) per AP cell.
 
     Each cell matches every pair's predictions of the class against its
-    ground truth; records and n_gt are the totals over all pairs.
+    ground truth; records and n_gt are the totals over all pairs. A class's
+    id is its index in classes, the last one for a name given twice.
     """
-    ids = class_ids or {name: i for i, name in enumerate(classes)}
+    ids = {name: i for i, name in enumerate(classes)}
     for cls_name in classes:
         cid = ids[cls_name]
         for kind in iou_kinds:
@@ -170,7 +174,6 @@ def evaluate_pairs(
     classes: Sequence[str] = DEFAULT_CLASSES,
     iou_thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
     iou_kinds: Sequence[str] = ("bev", "3d"),
-    class_ids: Optional[Dict[str, int]] = None,
 ) -> List[ApCell]:
     """AP table over (prediction, GT) pairs: one cell per
     (class, kind, threshold, level).
@@ -181,6 +184,6 @@ def evaluate_pairs(
     return [
         ApCell(cls_name, kind, thr, level.name.lower(), ap_r40(records, n_gt))
         for cls_name, kind, thr, level, records, n_gt in cell_records(
-            pairs, classes, iou_thresholds, iou_kinds, class_ids
+            pairs, classes, iou_thresholds, iou_kinds
         )
     ]

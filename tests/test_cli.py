@@ -104,6 +104,20 @@ class TestEval:
         assert "# Car bev iou=0.70 easy" in text
         assert "1.000000 1.000000 0.900000" in text
 
+    def test_class_named_twice(self, tmp_path):
+        # both Car row sets score the detections, which carry the id of the
+        # last Car; numbering the cells by position would leave one at 0
+        gt = write_labels(tmp_path / "gt.txt", simple_world())
+        det = write_labels(tmp_path / "det.txt", simple_world(score=0.9))
+        rows = {}
+        for classes in ("Car", "Car,Car"):
+            out = tmp_path / classes.replace(",", "_")
+            assert cli.main(["eval", "--gt", gt, "--det", det, "--output", str(out),
+                             "--classes", classes]) == 0
+            rows[classes] = out.with_suffix(".csv").read_text().splitlines()[1:]
+        assert len(rows["Car"]) == 12
+        assert rows["Car,Car"] == rows["Car"] * 2
+
     def test_determinism(self, tmp_path):
         gt = write_labels(tmp_path / "gt.txt", simple_world())
         det = write_labels(tmp_path / "det.txt", simple_world(score=0.9))
@@ -430,6 +444,47 @@ class TestConfigPrecedence:
         assert "data error" in err and "line 2" in err and repr(key) in err
         assert not (tmp_path / "r.json").exists()
 
+def command_argv(tmp_path, command):
+    """Arguments that run command on small valid inputs in tmp_path."""
+    if command == "flow":
+        g = textured_grid(16, 16, 4, seed=3)
+        write_fgrd(str(tmp_path / "prev.fgrd"), g)
+        write_fgrd(str(tmp_path / "cur.fgrd"), translate_grid(g, 1, 2))
+        return ["flow", "--current", str(tmp_path / "cur.fgrd"),
+                "--previous", str(tmp_path / "prev.fgrd"), "--output", str(tmp_path / "o")]
+    if command == "mcl":
+        paths = [write_labels(tmp_path / (name + ".txt"), simple_world(1, score=0.9))
+                 for name in ("pred", "gt_t", "gt_tm1", "gt_tm2")]
+        flags = ["--pred", "--gt-t", "--gt-tm1", "--gt-tm2"]
+        return ["mcl"] + [v for pair in zip(flags, paths) for v in pair]
+    gt = write_labels(tmp_path / "gt.txt", simple_world(3))
+    det = write_labels(tmp_path / "det.txt", simple_world(3, score=0.9))
+    return [command, "--gt", gt, "--det", det, "--output", str(tmp_path / "r")]
+
+
+class TestConfigValueErrors:
+    @pytest.mark.parametrize("line, command", [
+        ("interval_ms = abc", "stream-eval"),
+        ("latency_ms = x", "stream-eval"),
+        ("iou = abc", "stream-eval"),
+        ("latency_trace = {tmp}/missing.txt", "stream-eval"),
+        ("d = 1.5", "flow"),
+        ("rd = two", "flow"),
+        ("tau = x", "mcl"),
+        ("beta = x", "mcl"),
+        ("iou_kind = xyz", "mcl"),
+        ("latency_ms 150", "stream-eval"),
+    ])
+    def test_bad_value_is_data_error(self, tmp_path, capsys, line, command):
+        argv = command_argv(tmp_path, command)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line.format(tmp=tmp_path) + "\n")
+        assert cli.main(["--config", str(cfg)] + argv) == 3
+        assert "data error" in capsys.readouterr().err
+
+
 class TestBadLabels:
     @pytest.mark.parametrize("bad", [
         pytest.param({"h": float("nan")}, id="nan-dims"),
@@ -466,6 +521,19 @@ class TestUsageErrors:
         det = write_labels(tmp_path / "det.txt", simple_world(2, score=0.9))
         rc = cli.main([command, "--gt", gt, "--det", det,
                        "--output", str(tmp_path / "r"), flag, ","])
+        assert rc == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    @pytest.mark.parametrize("iou", ["1.5", "0", "-0.5", "nan"])
+    def test_iou_outside_unit_interval_is_data_error(self, tmp_path, capsys, command, iou):
+        # with no pairs to match, such a threshold used to reach the table
+        for name in ("gt.txt", "det.txt"):
+            (tmp_path / name).write_text("")
+        rc = cli.main([command, "--gt", str(tmp_path / "gt.txt"),
+                       "--det", str(tmp_path / "det.txt"),
+                       "--output", str(tmp_path / "r"), "--iou", iou])
         assert rc == 3
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()

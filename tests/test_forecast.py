@@ -255,3 +255,15 @@ class TestStreamerTracker:
         assert back.center == pytest.approx(b.center)
         assert back.dims == pytest.approx(b.dims)
         assert back.yaw == pytest.approx(b.yaw)
+
+    def test_to_box_wraps_yaw(self):
+        t = new_track(0, make_box(), CFG)
+        for yaw in (3.0 * np.pi / 2.0, -np.pi, np.pi, 7.0, -7.0, 0.3):
+            t.mean[3] = yaw
+            assert t.to_box().yaw == normalize_angle(yaw)
+
+    def test_tracker_ids_count_from_zero(self):
+        tracker = StreamerTracker()
+        tracker.step([make_box(x=0.0), make_box(x=20.0)], 0.1)
+        tracker.step([make_box(x=0.0), make_box(x=20.0), make_box(x=40.0)], 0.1)
+        assert [t.id for t in tracker.tracks] == [0, 1, 2]

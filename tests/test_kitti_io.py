@@ -4,13 +4,11 @@ import pytest
 
 from streamperc import kitti_io
 from streamperc.kitti_io import (
-    DEFAULT_EVAL_RANGE,
     Difficulty,
     ParseError,
     apply_range_filter,
     format_tracking_labels,
     parse_tracking_labels,
-    split_sequences,
 )
 
 from conftest import make_gt
@@ -98,33 +96,6 @@ class TestParse:
         assert again == frames
 
 
-class TestSplitSequences:
-    def test_hundred_frames(self):
-        splits = split_sequences(100, chunk=40)
-        assert [s.role for s in splits] == ["train", "test", "train"]
-        assert splits[0].frames == list(range(40))
-        assert splits[2].frames == list(range(80, 100))
-
-    def test_single_chunk(self):
-        splits = split_sequences(40)
-        assert len(splits) == 1
-        assert splits[0].role == "train"
-
-    def test_zero_frames(self):
-        with pytest.raises(ValueError):
-            split_sequences(0)
-
-    def test_zero_chunk(self):
-        with pytest.raises(ValueError):
-            split_sequences(10, chunk=0)
-
-    def test_partition_property(self):
-        for n in (1, 39, 40, 41, 123):
-            splits = split_sequences(n, chunk=40)
-            all_frames = [f for s in splits for f in s.frames]
-            assert all_frames == list(range(n))
-
-
 class TestRangeFilter:
     def test_default_range_kept(self):
         box = make_gt(x=0.0, y=1.0, z=10.0)
@@ -140,12 +111,6 @@ class TestRangeFilter:
         lo = make_gt(x=-28.8, y=-1.0, z=2.0)
         hi = make_gt(x=28.8, y=3.0, z=53.2)
         assert apply_range_filter([lo, hi]) == [lo, hi]
-
-    def test_invalid_range(self):
-        bad = dict(DEFAULT_EVAL_RANGE)
-        bad["z"] = (10.0, 2.0)
-        with pytest.raises(ValueError):
-            apply_range_filter([make_gt()], bad)
 
     def test_output_subset(self):
         boxes = [make_gt(z=float(z)) for z in range(0, 70, 5)]

@@ -7,7 +7,6 @@ from streamperc.grid_ops import ConvSpec, conv2d, transpose_conv2d
 from streamperc.lkbb import (
     LayerSpec,
     complexity,
-    ffn_chain,
     lka_chain,
     lka_forward,
     lkbb_fuse,
@@ -82,7 +81,8 @@ class TestComplexity:
 
     def test_additive(self):
         a = lka_chain(16)
-        b = ffn_chain(16)
+        # pointwise expand, depthwise 3x3, pointwise project
+        b = parse_chain("conv 1 1 1 16 64\ndwconv 3 1 1 64\nconv 1 1 1 64 16\n")
         hw = (32, 32)
         total = complexity(a + b, hw)
         assert total.params == complexity(a, hw).params + complexity(b, hw).params

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamperc import kitti_io, metrics
 from streamperc.metrics import (
@@ -162,6 +164,37 @@ class TestApR40:
             got = ap_r40(res.det_records, res.n_in_scope_gt)
             want = exhaustive_ap_oracle(preds, gts, 0.5, level)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def ref_ap_r40(det_records, n_gt):
+    """The former ap_r40: rescans every PR point for each recall position."""
+    if n_gt <= 0:
+        return None
+    points = pr_curve(det_records, n_gt)
+    total = 0.0
+    for i in range(1, 41):
+        r = i / 40
+        p = max((prec for _, prec, rec in points if rec >= r - 1e-12), default=0.0)
+        total += p
+    return total / 40
+
+
+# Few distinct scores, so many records tie; recall may exceed 1 when the
+# records hold more TPs than n_gt.
+_SCORES = st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]) | st.floats(0.0, 1.0)
+_RECORDS = st.lists(st.tuples(_SCORES, st.sampled_from(["tp", "fp"])), max_size=60)
+
+
+class TestApR40MatchesScan:
+    @settings(max_examples=500, deadline=None)
+    @given(records=_RECORDS, n_gt=st.integers(0, 90))
+    def test_bit_identical(self, records, n_gt):
+        assert ap_r40(records, n_gt) == ref_ap_r40(records, n_gt)
+
+    @pytest.mark.parametrize("n_gt", [0, 1, 3, 40, 80])
+    def test_all_tied(self, n_gt):
+        records = [(0.5, "tp" if i % 3 else "fp") for i in range(12)]
+        assert ap_r40(records, n_gt) == ref_ap_r40(records, n_gt)
 
 
 class TestPrCurve:
