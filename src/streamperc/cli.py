@@ -80,11 +80,13 @@ def _load_label_map(path: str) -> Dict[int, List[LabeledBox]]:
 
 
 def _load_sequences(gt_path: str, det_path: str):
-    """Yield (name, gt frame map, det frame map) for file or directory inputs."""
+    """Yield (name, gt frame map, det frame map) per sequence, at least one."""
     if os.path.isdir(gt_path):
         if not os.path.isdir(det_path):
             raise ParseError("gt is a directory but detections are not")
         names = sorted(n for n in os.listdir(gt_path) if n.endswith(".txt"))
+        if not names:
+            raise ParseError("no sequences to evaluate")
         for name in names:
             det_file = os.path.join(det_path, name)
             dets = _load_label_map(det_file) if os.path.exists(det_file) else {}
@@ -241,11 +243,10 @@ def _stream_sequences(args, opts: _LabelOptions):
     The schedule simulates the worker on the sequence's frames; outputs are
     range-filtered Box3D detections per frame and gts the range-filtered
     ground truth. Every sequence uses the first n_frames entries of the one
-    latency trace. No sequence at all is a data error.
+    latency trace.
     """
     use_range = opts.config["range_filter"]
-    n_sequences = 0
-    for n_sequences, (_, gts, dets) in enumerate(_load_sequences(args.gt, args.det), 1):
+    for _, gts, dets in _load_sequences(args.gt, args.det):
         n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
         if opts.trace is None:
             latencies = [opts.config["latency"]] * n_frames
@@ -260,8 +261,6 @@ def _stream_sequences(args, opts: _LabelOptions):
         )
         outputs = {k: _boxes_to_preds(v, opts.class_ids, use_range) for k, v in dets.items()}
         yield schedule, outputs, _filtered_gts(gts, use_range)
-    if not n_sequences:
-        raise ParseError("no sequences to evaluate")
 
 
 def cmd_stream_eval(args) -> int:
@@ -308,7 +307,7 @@ def cmd_streamer(args) -> int:
                     "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f"
                     % (
                         j,
-                        p.track_id if p.track_id is not None else -1,
+                        p.track_id,
                         opts.classes[p.class_id],
                         h,
                         w,

@@ -11,7 +11,7 @@ targets forecast exactly after two observations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,27 +23,13 @@ MEAS_DIM = 7
 _POS = slice(0, 4)  # x, y, z, yaw
 _VEL = slice(7, 11)
 
-
-@dataclass
-class KfConfig:
-    pose_variance: float = 0.01  # process noise, per second
-    dims_variance: float = 0.0001
-    velocity_variance: float = 1.0
-    measurement_variance: float = 0.01
-    initial_velocity_variance: float = 100.0
-    association_iou_threshold: float = 0.3
-    max_misses: int = 2
-    min_hits: int = 1
-
-    def process_noise(self) -> np.ndarray:
-        q = np.empty(STATE_DIM)
-        q[0:4] = self.pose_variance
-        q[4:7] = self.dims_variance
-        q[7:11] = self.velocity_variance
-        return np.diag(q)
-
-    def measurement_noise(self) -> np.ndarray:
-        return np.eye(MEAS_DIM) * self.measurement_variance
+MEASUREMENT_VARIANCE = 0.01
+INITIAL_VELOCITY_VARIANCE = 100.0
+ASSOCIATION_IOU = 0.3  # least BEV IoU of a track-detection match
+MAX_MISSES = 2  # consecutive unmatched steps a track survives
+# Process noise per second: pose, dims, velocities.
+_Q = np.diag([0.01] * 4 + [0.0001] * 3 + [1.0] * 4)
+_R = np.eye(MEAS_DIM) * MEASUREMENT_VARIANCE
 
 
 @dataclass
@@ -51,12 +37,15 @@ class TrackState:
     id: int
     mean: np.ndarray  # (11,)
     covariance: np.ndarray  # (11, 11)
-    age: int = 0
     hits: int = 1
     misses: int = 0
     score: float = 0.0
     class_id: int = 0
     last_measurement: Optional[np.ndarray] = None
+
+    def with_estimate(self, mean: np.ndarray, covariance: np.ndarray) -> TrackState:
+        return TrackState(self.id, mean, covariance, self.hits, self.misses,
+                          self.score, self.class_id, self.last_measurement)
 
     def to_box(self) -> Box3D:
         m = self.mean
@@ -76,54 +65,44 @@ def measurement_from_box(box: Box3D) -> np.ndarray:
     return np.array([x, y, z, box.yaw, l, w, h], dtype=float)
 
 
-def _seed_covariance(cfg: KfConfig, velocity_variance: float) -> np.ndarray:
+def _seed_covariance(velocity_variance: float) -> np.ndarray:
     """Uncorrelated: measurement noise on pose and dims, then velocities."""
-    cov = np.zeros((STATE_DIM, STATE_DIM))
-    cov[:MEAS_DIM, :MEAS_DIM] = cfg.measurement_noise()
-    cov[MEAS_DIM:, MEAS_DIM:] = np.eye(4) * velocity_variance
-    return cov
+    return np.diag([MEASUREMENT_VARIANCE] * MEAS_DIM + [velocity_variance] * 4)
 
 
-def new_track(track_id: int, box: Box3D, cfg: KfConfig) -> TrackState:
+def new_track(track_id: int, box: Box3D) -> TrackState:
     mean = np.zeros(STATE_DIM)
     mean[:MEAS_DIM] = measurement_from_box(box)
     return TrackState(
         id=track_id,
         mean=mean,
-        covariance=_seed_covariance(cfg, cfg.initial_velocity_variance),
+        covariance=_seed_covariance(INITIAL_VELOCITY_VARIANCE),
         score=box.score,
         class_id=box.class_id,
         last_measurement=mean[:MEAS_DIM].copy(),
     )
 
 
-def _transition(dt: float) -> np.ndarray:
-    f = np.eye(STATE_DIM)
-    for i in range(4):
-        f[i, 7 + i] = dt
-    return f
-
-
-def kf_predict(s: TrackState, dt: float, cfg: KfConfig) -> TrackState:
+def kf_predict(s: TrackState, dt: float) -> TrackState:
     """Advance the state dt seconds under the constant-velocity model."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    f = _transition(dt)
+    f = np.eye(STATE_DIM)
+    f[_POS, _VEL] = np.eye(4) * dt
     mean = f @ s.mean
-    cov = f @ s.covariance @ f.T + cfg.process_noise() * dt
+    cov = f @ s.covariance @ f.T + _Q * dt
     cov = 0.5 * (cov + cov.T)
-    return replace(s, mean=mean, covariance=cov)
+    return s.with_estimate(mean, cov)
 
 
-def kf_update(s: TrackState, z: np.ndarray, cfg: KfConfig) -> TrackState:
+def kf_update(s: TrackState, z: np.ndarray) -> TrackState:
     """Standard Kalman update with yaw-wrapped innovation and Joseph form."""
     z = np.asarray(z, dtype=float)
-    r = cfg.measurement_noise()
     # The measurement matrix selects the first MEAS_DIM state entries, so
     # its products are slices of the state and covariance.
     innovation = z - s.mean[:MEAS_DIM]
     innovation[3] = normalize_angle(innovation[3])
-    s_mat = s.covariance[:MEAS_DIM, :MEAS_DIM] + r
+    s_mat = s.covariance[:MEAS_DIM, :MEAS_DIM] + _R
     try:
         k = s.covariance[:, :MEAS_DIM] @ np.linalg.inv(s_mat)
     except np.linalg.LinAlgError as exc:
@@ -131,9 +110,9 @@ def kf_update(s: TrackState, z: np.ndarray, cfg: KfConfig) -> TrackState:
     mean = s.mean + k @ innovation
     ikh = np.eye(STATE_DIM)
     ikh[:, :MEAS_DIM] -= k
-    cov = ikh @ s.covariance @ ikh.T + k @ r @ k.T
+    cov = ikh @ s.covariance @ ikh.T + k @ _R @ k.T
     cov = 0.5 * (cov + cov.T)
-    return replace(s, mean=mean, covariance=cov)
+    return s.with_estimate(mean, cov)
 
 
 def associate(
@@ -171,78 +150,64 @@ class StreamerTracker:
     """Owns track lifecycle for one sequence; single-threaded."""
 
     def __init__(self):
-        self.cfg = KfConfig()
         self.tracks: List[TrackState] = []
         self._alloc_id = itertools.count().__next__
 
     def step(self, dets: Sequence[Box3D], dt: float) -> None:
-        self.tracks = streamer_step(self.tracks, dets, dt, self.cfg, self._alloc_id)
+        self.tracks = streamer_step(self.tracks, dets, dt, self._alloc_id)
 
     def forecast(self, dt: float) -> List[Box3D]:
-        return forecast_boxes(self.tracks, dt, self.cfg)
+        return forecast_boxes(self.tracks, dt)
 
 
 def streamer_step(
     tracks: Sequence[TrackState],
     dets: Sequence[Box3D],
     dt: float,
-    cfg: KfConfig,
     alloc_id=None,
 ) -> List[TrackState]:
-    """One predict/associate/update cycle; spawns and retires tracks."""
+    """One predict/associate/update cycle; spawns and retires tracks. The
+    returned states are new; the input tracks are left unchanged."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if alloc_id is None:
         alloc_id = itertools.count(max((t.id for t in tracks), default=-1) + 1).__next__
-    predicted = [kf_predict(t, dt, cfg) for t in tracks]
-    matches, unmatched_t, unmatched_d = associate(
-        predicted, dets, cfg.association_iou_threshold
-    )
-    out: List[Optional[TrackState]] = [None] * len(predicted)
-    for i, j in matches:
-        det = dets[j]
+    predicted = [kf_predict(t, dt) for t in tracks]
+    matches, _, unmatched_d = associate(predicted, dets, ASSOCIATION_IOU)
+    det_of = dict(matches)
+    kept = []
+    # kf_predict and kf_update return fresh states, so they are set in place.
+    for i, t in enumerate(predicted):
+        if i not in det_of:
+            t.misses += 1
+            if t.misses <= MAX_MISSES:
+                kept.append(t)
+            continue
+        det = dets[det_of[i]]
         z = measurement_from_box(det)
-        t = kf_update(predicted[i], z, cfg)
+        t = kf_update(t, z)
         if t.hits == 1 and t.last_measurement is not None:
             # Second hit: re-seed the observed pose and pin velocities to
             # the finite difference of the first two measurements, so a
             # noise-free constant-velocity target forecasts exactly.
             vel = (z[:4] - t.last_measurement[:4]) / dt
             vel[3] = normalize_angle(z[3] - t.last_measurement[3]) / dt
-            mean = t.mean.copy()
-            mean[:MEAS_DIM] = z
-            mean[_VEL] = vel
-            cov = _seed_covariance(cfg, 2.0 * cfg.measurement_variance / (dt * dt))
-            t = replace(t, mean=mean, covariance=cov)
-        out[i] = replace(
-            t,
-            age=t.age + 1,
-            hits=t.hits + 1,
-            misses=0,
-            score=det.score,
-            class_id=det.class_id,
-            last_measurement=z,
-        )
-    kept = []
-    for i, t in enumerate(predicted):
-        if out[i] is not None:
-            kept.append(out[i])
-        elif t.misses + 1 <= cfg.max_misses:
-            kept.append(replace(t, age=t.age + 1, misses=t.misses + 1))
+            t.mean[:MEAS_DIM] = z
+            t.mean[_VEL] = vel
+            t.covariance = _seed_covariance(2.0 * MEASUREMENT_VARIANCE / (dt * dt))
+        t.hits += 1
+        t.misses = 0
+        t.score = det.score
+        t.class_id = det.class_id
+        t.last_measurement = z
+        kept.append(t)
     for j in unmatched_d:
-        kept.append(new_track(alloc_id(), dets[j], cfg))
+        kept.append(new_track(alloc_id(), dets[j]))
     return kept
 
 
-def forecast_boxes(
-    tracks: Sequence[TrackState], dt: float, cfg: KfConfig
-) -> List[Box3D]:
-    """Forecast each mature track dt seconds ahead and emit its box."""
+def forecast_boxes(tracks: Sequence[TrackState], dt: float) -> List[Box3D]:
+    """Forecast each track dt seconds ahead and emit its box."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    boxes = []
-    for t in tracks:
-        if t.hits < cfg.min_hits:
-            continue
-        boxes.append(kf_predict(t, dt, cfg).to_box() if dt > 0 else t.to_box())
-    return boxes
+    return [kf_predict(t, dt).to_box() if dt > 0 else t.to_box() for t in tracks]

@@ -115,6 +115,8 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
             raise ParseError("line %d: non-numeric field (%s)" % (lineno, exc)) from exc
         if not all(map(math.isfinite, nums)):
             raise ParseError("line %d: non-finite numeric field" % lineno)
+        if frame < 0:
+            raise ParseError("line %d: negative frame index %d" % (lineno, frame))
         box = LabeledBox(
             frame_index=frame,
             track_id=track_id,

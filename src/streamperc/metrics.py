@@ -2,8 +2,9 @@
 (`kitti_io.Difficulty`, re-exported here).
 
 Evaluation at level L takes ground truth of difficulty <= L as in-scope;
-stricter GT, DontCare rows, and GT that never qualifies are ignore-matched
-(detections hitting them are neither true nor false positives).
+stricter GT, DontCare rows with a 3D extent, and GT that never qualifies
+are ignore-matched (detections hitting them are neither true nor false
+positives).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D, iou_bev, iou_3d
 from .kitti_io import DIFFICULTY_THRESHOLDS, Difficulty, LabeledBox, difficulty_of
@@ -48,16 +49,18 @@ def match_frame(
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError("iou_threshold must be in (0, 1]")
+    if iou_kind not in ("bev", "3d"):
+        raise ValueError("iou_kind must be 'bev' or '3d', got %r" % iou_kind)
     if class_name is not None:
         gts = [g for g in gts if g.class_name in (class_name, "DontCare")]
     in_scope: List[int] = []
     ignorable: List[int] = []
-    gt_boxes: List[Optional[Box3D]] = []
+    gt_boxes: Dict[int, Box3D] = {}
     for gi, g in enumerate(gts):
-        gt_boxes.append(g.box3d)
-        if g.class_name == "DontCare":
-            ignorable.append(gi)
-        elif g.difficulty <= level:
+        if g.class_name == "DontCare" and min(g.dims) <= 0.0:
+            continue  # a 2D-only KITTI region (dims -1) has no box to hit
+        gt_boxes[gi] = g.box3d
+        if g.class_name != "DontCare" and g.difficulty <= level:
             in_scope.append(gi)
         else:
             ignorable.append(gi)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from streamperc.feature_flow import compute_flow, warp_pseudo_next
-from streamperc.forecast import KfConfig, StreamerTracker, streamer_step
+from streamperc.forecast import StreamerTracker, streamer_step
 from streamperc.geometry import Box3D, iou_bev
 from streamperc.grid_ops import ConvSpec
 from streamperc.lkbb import LayerSpec, complexity, lka_chain, lkbb_fuse, receptive_field
@@ -361,17 +361,16 @@ def test_criterion_7_backbone_structure():
 
 
 def test_criterion_8_kalman_convergence():
-    cfg = KfConfig()
     tracks = []
     psd = True
     for k in range(3):
         tracks = streamer_step(tracks, [make_box(x=2.0 * k, z=10.0, score=0.9)],
-                               0.1, cfg)
+                               0.1)
         for t in tracks:
             psd &= bool(np.linalg.eigvalsh(t.covariance).min() >= -1e-9)
     from streamperc.forecast import forecast_boxes
 
-    box = forecast_boxes(tracks, 0.1, cfg)[0]
+    box = forecast_boxes(tracks, 0.1)[0]
     err = abs(box.center[0] - 6.0)
     ok = err <= 1e-6 and psd
     report(8, "noise-free forecast error %.1e after 3 updates, covariance PSD"

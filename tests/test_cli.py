@@ -190,7 +190,7 @@ class TestStreamEval:
         assert rc == 3
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["stream-eval", "streamer"])
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
     def test_empty_directory_is_data_error(self, tmp_path, capsys, command):
         (tmp_path / "gt").mkdir()
         (tmp_path / "det").mkdir()
@@ -510,6 +510,35 @@ class TestBadLabels:
         rc = cli.main([command, "--gt", gt, "--det", det, "--output", str(tmp_path / "r")])
         assert rc == 3
         assert "dims must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    def test_dontcare_without_box_is_skipped(self, tmp_path, command):
+        # a real KITTI DontCare row: a 2D region with dims -1, location -1000
+        gt_text = format_tracking_labels(simple_world(3))
+        dontcare = "1 -1 DontCare -1 -1 -10 50 50 60 60 -1 -1 -1 -1000 -1000 -1000 -10\n"
+        det = write_labels(tmp_path / "det.txt", simple_world(3, score=0.9))
+        csvs = []
+        for name, text in (("plain", gt_text), ("dontcare", gt_text + dontcare)):
+            (tmp_path / (name + ".txt")).write_text(text)
+            out = str(tmp_path / name)
+            assert cli.main([command, "--gt", str(tmp_path / (name + ".txt")), "--det", det,
+                             "--output", out, "--no-range-filter"]) == 0
+            csvs.append((tmp_path / (name + ".csv")).read_text())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    def test_negative_frame_is_data_error(self, tmp_path, capsys, command):
+        # the schedule starts at frame 0: a negative frame used to be scored
+        # by eval and dropped by the streaming modes
+        gt_text = format_tracking_labels(simple_world(2))
+        gt_lines = gt_text.splitlines()
+        gt_lines[1] = "-1" + gt_lines[1][1:]
+        (tmp_path / "gt.txt").write_text("\n".join(gt_lines) + "\n")
+        det = write_labels(tmp_path / "det.txt", simple_world(2, score=0.9))
+        rc = cli.main([command, "--gt", str(tmp_path / "gt.txt"), "--det", det,
+                       "--output", str(tmp_path / "r")])
+        assert rc == 3
+        assert "line 2: negative frame" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -85,6 +85,10 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_tracking_labels(GT_LINE + "\n0 1 Car 0.0")
 
+    def test_negative_frame_names_line_number(self):
+        with pytest.raises(ParseError, match="line 2: negative frame index -1"):
+            parse_tracking_labels(GT_LINE + "\n-1" + GT_LINE[1:])
+
     def test_non_numeric_field(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_tracking_labels(GT_LINE.replace("10.0", "abc"))

@@ -82,6 +82,22 @@ class TestMatchFrame:
         with pytest.raises(ValueError):
             match_frame([], [], 0.0, Difficulty.EASY)
 
+    def test_unknown_iou_kind(self):
+        # it used to be scored as 3D IoU
+        gts = [make_gt(track_id=0)]
+        with pytest.raises(ValueError, match="iou_kind"):
+            match_frame([make_box(z=10.0)], gts, 0.5, Difficulty.EASY, "xyz")
+
+    def test_dontcare_without_dims_skipped(self):
+        # KITTI writes 2D-only DontCare regions with dims -1; they have no
+        # 3D box, so they neither crash the matcher nor absorb a detection
+        gts = [make_gt(track_id=0), make_gt(track_id=-1, class_name="DontCare",
+                                            h=-1.0, w=-1.0, l=-1.0, x=-1000.0)]
+        preds = [make_box(z=10.0, score=0.9), make_box(x=20.0, z=10.0, score=0.8)]
+        res = match_frame(preds, gts, 0.5, Difficulty.EASY, class_name="Car")
+        assert res.det_records == [(0.9, "tp"), (0.8, "fp")]
+        assert res.n_in_scope_gt == 1
+
     def test_reads_stored_difficulty(self, monkeypatch):
         gts = [make_gt(track_id=0), make_gt(track_id=1, x=10.0, bbox_height=30, occlusion=1)]
         preds = [make_box(z=10.0, score=0.9), make_box(x=10.0, z=10.0, score=0.8)]
