@@ -99,12 +99,9 @@ def _boxes_to_preds(
     boxes: List[LabeledBox], class_ids: Dict[str, int], use_range: bool = False
 ) -> List[Box3D]:
     """Boxes of the evaluated classes as Box3D, optionally cropped to the
-    evaluation range. Every box is converted, and so validated, before the
-    crop: an out-of-range box with a bad dimension is still a data error."""
-    out = [b.to_box3d(class_ids[b.class_name]) for b in boxes if b.class_name in class_ids]
-    if use_range:
-        out = [p for p in out if in_eval_range(p.center)]
-    return out
+    evaluation range; the parser has already rejected bad dims."""
+    return [b.to_box3d(class_ids[b.class_name]) for b in boxes
+            if b.class_name in class_ids and (not use_range or in_eval_range(b.location))]
 
 
 def _parse_classes(args) -> Tuple[List[str], Dict[str, int]]:

@@ -30,6 +30,7 @@ MAX_MISSES = 2  # consecutive unmatched steps a track survives
 # Process noise per second: pose, dims, velocities.
 _Q = np.diag([0.01] * 4 + [0.0001] * 3 + [1.0] * 4)
 _R = np.eye(MEAS_DIM) * MEASUREMENT_VARIANCE
+_EYE = np.eye(STATE_DIM)
 
 
 @dataclass
@@ -83,12 +84,17 @@ def new_track(track_id: int, box: Box3D) -> TrackState:
     )
 
 
+def _transition(dt: float) -> np.ndarray:
+    f = _EYE.copy()
+    f[_POS, _VEL] = _EYE[_POS, _POS] * dt
+    return f
+
+
 def kf_predict(s: TrackState, dt: float) -> TrackState:
     """Advance the state dt seconds under the constant-velocity model."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    f = np.eye(STATE_DIM)
-    f[_POS, _VEL] = np.eye(4) * dt
+    f = _transition(dt)
     mean = f @ s.mean
     cov = f @ s.covariance @ f.T + _Q * dt
     cov = 0.5 * (cov + cov.T)
@@ -108,7 +114,7 @@ def kf_update(s: TrackState, z: np.ndarray) -> TrackState:
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("innovation covariance is singular") from exc
     mean = s.mean + k @ innovation
-    ikh = np.eye(STATE_DIM)
+    ikh = _EYE.copy()
     ikh[:, :MEAS_DIM] -= k
     cov = ikh @ s.covariance @ ikh.T + k @ _R @ k.T
     cov = 0.5 * (cov + cov.T)
@@ -207,7 +213,9 @@ def streamer_step(
 
 
 def forecast_boxes(tracks: Sequence[TrackState], dt: float) -> List[Box3D]:
-    """Forecast each track dt seconds ahead and emit its box."""
+    """Forecast each track's mean (not its covariance) dt seconds ahead."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    return [kf_predict(t, dt).to_box() if dt > 0 else t.to_box() for t in tracks]
+    f = _transition(dt)
+    return [t.with_estimate(f @ t.mean, t.covariance).to_box() if dt > 0 else t.to_box()
+            for t in tracks]

@@ -37,9 +37,9 @@ class Box3D:
     """Oriented 3D box: center (x, y, z), dims (h, w, l), yaw about vertical.
 
     y is the *bottom* center per KITTI convention; the box spans [y-h, y]
-    vertically. Boxes are immutable, so the BEV footprint and the clipped
-    intersection with each other box are computed on first use and kept on
-    the box.
+    vertically. Boxes are immutable: the scalars every IoU reads are set at
+    construction, and the BEV footprint and the clipped intersection with
+    each other box are computed on first use; all are kept on the box.
     """
 
     center: tuple  # (x, y, z) meters
@@ -54,9 +54,15 @@ class Box3D:
         if not all(0 < d < math.inf for d in (h, w, l)):
             raise ValueError("box dims must be positive and finite, got %r" % (self.dims,))
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
-        # id(b) -> (b, area of this footprint clipped by b's). Set here, not
-        # cached on first use: on CPython 3.11 an attribute added after the
-        # instance dict exists costs about 300 bytes more per box.
+        # Plain attributes, not fields (so not in ==, repr or hash), set here:
+        # on CPython 3.11 an attribute added after the instance dict exists
+        # costs about 300 bytes more per box.
+        object.__setattr__(self, "bev_area", w * l)
+        object.__setattr__(self, "volume", h * w * l)
+        object.__setattr__(self, "bev_diagonal", math.hypot(w, l))
+        # the prefilter's tolerance when this box is the clip polygon
+        object.__setattr__(self, "_clip_margin", _PREFILTER_GAP + _EDGE_EPS / min(w, l))
+        # id(b) -> (b, area of this footprint clipped by b's)
         object.__setattr__(self, "_overlaps", {})
 
     @functools.cached_property
@@ -65,16 +71,6 @@ class Box3D:
         pts = bev_corners(self)
         pts.flags.writeable = False
         return pts
-
-    @property
-    def volume(self) -> float:
-        h, w, l = self.dims
-        return h * w * l
-
-    @property
-    def bev_area(self) -> float:
-        _, w, l = self.dims
-        return w * l
 
 
 def bev_corners(box: Box3D) -> np.ndarray:
@@ -180,10 +176,8 @@ def _bev_intersection(a: Box3D, b: Box3D) -> float:
     cannot be reused while the entry lives. The key is ordered, because
     clipping b by a can differ in the last bit.
     """
-    _, wa, la = a.dims
-    _, wb, lb = b.dims
-    reach = 0.5 * (math.hypot(wa, la) + math.hypot(wb, lb))
-    reach += _PREFILTER_GAP + _EDGE_EPS / min(wb, lb)
+    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
+    reach += b._clip_margin
     dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
     if dx * dx + dz * dz > reach * reach:
         return 0.0

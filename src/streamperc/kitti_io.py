@@ -117,6 +117,9 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
             raise ParseError("line %d: non-finite numeric field" % lineno)
         if frame < 0:
             raise ParseError("line %d: negative frame index %d" % (lineno, frame))
+        dims = tuple(nums[7:10])
+        if fields[2] != "DontCare" and min(dims) <= 0.0:  # KITTI DontCare may have dims -1
+            raise ParseError("line %d: dims must be positive, got %r" % (lineno, dims))
         box = LabeledBox(
             frame_index=frame,
             track_id=track_id,
@@ -125,7 +128,7 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
             occlusion=int(nums[1]),
             alpha=nums[2],
             bbox2d=tuple(nums[3:7]),
-            dims=tuple(nums[7:10]),
+            dims=dims,
             location=tuple(nums[10:13]),
             rotation_y=nums[13],
             score=nums[14] if len(nums) > 14 else None,

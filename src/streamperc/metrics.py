@@ -29,10 +29,6 @@ class FrameMatchResult:
     n_in_scope_gt: int
 
 
-def _iou(a: Box3D, b: Box3D, kind: str) -> float:
-    return iou_bev(a, b) if kind == "bev" else iou_3d(a, b)
-
-
 def match_frame(
     preds: Sequence[Box3D],
     gts: Sequence[LabeledBox],
@@ -64,6 +60,8 @@ def match_frame(
             in_scope.append(gi)
         else:
             ignorable.append(gi)
+    # looked up per call, so a patched metrics.iou_bev/iou_3d sees every call
+    iou = iou_bev if iou_kind == "bev" else iou_3d
     claimed = set()
     order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
     records = []
@@ -73,7 +71,7 @@ def match_frame(
         for gi in in_scope:
             if gi in claimed:
                 continue
-            v = _iou(det, gt_boxes[gi], iou_kind)
+            v = iou(det, gt_boxes[gi])
             if v >= iou_threshold and v > best_iou:
                 best_gt, best_iou = gi, v
         if best_gt is not None:
@@ -82,7 +80,7 @@ def match_frame(
             continue
         ignored = False
         for gi in ignorable:
-            if _iou(det, gt_boxes[gi], iou_kind) >= iou_threshold:
+            if iou(det, gt_boxes[gi]) >= iou_threshold:
                 ignored = True
                 break
         if not ignored:

@@ -512,6 +512,22 @@ class TestBadLabels:
         assert "dims must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    @pytest.mark.parametrize("row", [
+        pytest.param({"class_name": "Van", "z": 10.0}, id="unevaluated-class"),
+        pytest.param({"class_name": "Car", "z": 80.0}, id="out-of-range"),
+    ])
+    def test_zero_dim_ground_truth_is_data_error(self, tmp_path, capsys, command, row):
+        # neither row is ever matched, but both are malformed
+        world = simple_world(2)
+        world[1].append(make_gt(frame=1, track_id=5, h=0.0, **row))
+        gt = write_labels(tmp_path / "gt.txt", world)
+        det = write_labels(tmp_path / "det.txt", simple_world(2, score=0.9))
+        rc = cli.main([command, "--gt", gt, "--det", det, "--output", str(tmp_path / "r")])
+        assert rc == 3
+        assert "line 5: dims must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
     def test_dontcare_without_box_is_skipped(self, tmp_path, command):
         # a real KITTI DontCare row: a 2D region with dims -1, location -1000
         gt_text = format_tracking_labels(simple_world(3))

@@ -345,6 +345,35 @@ class TestBox3D:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(box, field, value)
 
+    def test_iou_scalars_set_at_construction(self):
+        box = make_box(z=10.0, h=1.37, w=1.61, l=3.93, yaw=0.3)
+        h, w, l = box.dims
+        assert box.bev_area == w * l
+        assert box.volume == h * w * l
+        assert box.bev_diagonal == math.hypot(w, l)
+        assert box._clip_margin == geometry._PREFILTER_GAP + geometry._EDGE_EPS / min(w, l)
+
+    def test_iou_scalars_are_not_fields(self):
+        box = make_box(z=10.0)
+        names = {"bev_area", "volume", "bev_diagonal", "_clip_margin"}
+        assert not names & {f.name for f in dataclasses.fields(box)}
+        assert not any(name + "=" in repr(box) for name in names)
+        other = make_box(z=10.0)
+        object.__setattr__(other, "bev_area", 0.0)
+        assert other == box and hash(other) == hash(box)
+
+    @pytest.mark.parametrize("name", ["bev_area", "volume", "bev_diagonal", "_clip_margin"])
+    def test_iou_scalars_are_frozen(self, name):
+        box = make_box(z=10.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(box, name, 1.0)
+
+    def test_replace_recomputes_iou_scalars(self):
+        box = dataclasses.replace(make_box(z=10.0), dims=(2.0, 0.5, 8.0))
+        assert (box.bev_area, box.volume) == (4.0, 8.0)
+        assert box.bev_diagonal == math.hypot(0.5, 8.0)
+        assert box._clip_margin == geometry._PREFILTER_GAP + geometry._EDGE_EPS / 0.5
+
     def test_corners_cached_and_read_only(self):
         box = make_box(x=1.0, z=10.0, yaw=0.3)
         assert box.corners is box.corners

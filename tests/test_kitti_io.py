@@ -81,6 +81,18 @@ class TestParse:
         frames = parse_tracking_labels(line)
         assert frames[0][0].class_name == "DontCare"
 
+    def test_dontcare_without_box_parses(self):
+        # KITTI writes 2D-only DontCare regions with dims -1
+        line = "0 -1 DontCare -1 -1 -10 50 50 60 60 -1 -1 -1 -1000 -1000 -1000 -10"
+        assert parse_tracking_labels(line)[0][0].dims == (-1.0, -1.0, -1.0)
+
+    @pytest.mark.parametrize("dims", ["0 1.6 3.9", "1.5 -1.6 3.9", "1.5 1.6 0"])
+    @pytest.mark.parametrize("class_name", ["Car", "Van"])
+    def test_non_positive_dims_name_line_number(self, dims, class_name):
+        bad = "0 1 %s 0 0 0 100 100 150 150 %s 1 1 80 0" % (class_name, dims)
+        with pytest.raises(ParseError, match="line 2: dims must be positive"):
+            parse_tracking_labels(GT_LINE + "\n" + bad)
+
     def test_short_line_names_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_tracking_labels(GT_LINE + "\n0 1 Car 0.0")

@@ -112,6 +112,41 @@ class TestMatchFrame:
         assert res.n_in_scope_gt == 1
 
 
+class TestMatchFrameIouLookup:
+    """match_frame reads metrics.iou_bev / metrics.iou_3d when it is called,
+    so a function patched onto the module sees every comparison.
+
+    Ground truth: easy Cars g0 at x=0 and g1 at x=20, and a DontCare with a
+    box at x=40. Detections by score: d0 (0.9) on g0, d1 (0.8) on g0 too,
+    d2 (0.7) on the DontCare. d0 compares with g0 and g1 and claims g0 (2
+    calls). d1 skips the claimed g0, misses g1 and then the DontCare, so it
+    is an FP (2 calls). d2 misses g1 and hits the DontCare, so it is
+    dropped (2 calls). That is 6 comparisons, all of the requested kind.
+    """
+
+    GTS = [make_gt(track_id=0), make_gt(track_id=1, x=20.0),
+           make_gt(track_id=-1, class_name="DontCare", x=40.0)]
+    PREDS = [make_box(z=10.0, score=0.9), make_box(x=0.3, z=10.0, score=0.8),
+             make_box(x=40.0, z=10.0, score=0.7)]
+
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    def test_patched_iou_sees_every_comparison(self, monkeypatch, kind):
+        calls = {"bev": 0, "3d": 0}
+
+        def counting(name, fn):
+            def wrapper(a, b):
+                calls[name] += 1
+                return fn(a, b)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "iou_bev", counting("bev", metrics.iou_bev))
+        monkeypatch.setattr(metrics, "iou_3d", counting("3d", metrics.iou_3d))
+        res = match_frame(self.PREDS, self.GTS, 0.5, Difficulty.EASY, kind, class_name="Car")
+        assert res.det_records == [(0.9, "tp"), (0.8, "fp")]
+        assert res.n_in_scope_gt == 2
+        assert calls == {"bev": 6 if kind == "bev" else 0, "3d": 6 if kind == "3d" else 0}
+
+
 def exhaustive_ap_oracle(preds, gts, iou_threshold, level, kind="bev"):
     """Enumerate every score threshold, re-match the surviving detections,
     interpolate precision at the 40 recall positions."""
