@@ -26,7 +26,6 @@ from .kitti_io import (
     LabeledBox,
     ParseError,
     apply_range_filter,
-    in_eval_range,
     parse_tracking_labels,
 )
 from .motion_loss import DEFAULT_TAU, batch_mcl
@@ -95,13 +94,10 @@ def _load_sequences(gt_path: str, det_path: str):
         yield os.path.basename(gt_path), _load_label_map(gt_path), _load_label_map(det_path)
 
 
-def _boxes_to_preds(
-    boxes: List[LabeledBox], class_ids: Dict[str, int], use_range: bool = False
-) -> List[Box3D]:
-    """Boxes of the evaluated classes as Box3D, optionally cropped to the
-    evaluation range; the parser has already rejected bad dims."""
-    return [b.to_box3d(class_ids[b.class_name]) for b in boxes
-            if b.class_name in class_ids and (not use_range or in_eval_range(b.location))]
+def _boxes_to_preds(boxes: List[LabeledBox], class_ids: Dict[str, int]) -> List[Box3D]:
+    """Boxes of the evaluated classes as Box3D; the parser has already
+    rejected bad dims."""
+    return [b.to_box3d(class_ids[b.class_name]) for b in boxes if b.class_name in class_ids]
 
 
 def _parse_classes(args) -> Tuple[List[str], Dict[str, int]]:
@@ -131,37 +127,42 @@ class _LabelOptions:
     class_ids: Dict[str, int]
     thresholds: List[float]
     config: dict  # the report's "config" object
+    stream: dict  # interval_ms, latency (ms or "trace") and skip_stale
     trace: Optional[List[float]]  # per-frame latencies, or None for a constant
 
 
-def _label_options(args, mode: str) -> _LabelOptions:
+def _label_options(args) -> _LabelOptions:
     classes, class_ids = _parse_classes(args)
     thresholds = _parse_thresholds(args)
     config = {
-        "mode": mode,
+        "mode": args.mode,
         "classes": classes,
         "iou_thresholds": thresholds,
         "range_filter": not args.no_range_filter,
         "eval_range": DEFAULT_EVAL_RANGE,
     }
+    # eval reads no stream option: offline AP is sAP at zero latency
+    stream = {"interval_ms": DEFAULTS["interval_ms"], "latency": 0.0, "skip_stale": False}
     trace = None
-    if mode != "offline":
+    if args.mode != "offline":
         trace_path = resolve(args, "latency_trace")
         if trace_path:
             with open(trace_path) as f:
                 trace = [float(line) for line in f if line.strip()]
-        config.update(
+        stream = dict(
             interval_ms=resolve(args, "interval_ms", float),
             latency="trace" if trace_path else resolve(args, "latency_ms", float),
             skip_stale=bool(args.skip_stale),
         )
-    return _LabelOptions(classes, class_ids, thresholds, config, trace)
+        config.update(stream)
+    return _LabelOptions(classes, class_ids, thresholds, config, stream, trace)
 
 
-def _write_ap_report(args, opts: _LabelOptions, pairs, extra=None, pr_dump=True) -> None:
-    """Evaluate the pairs; write the AP table as .json and .csv, print it,
-    and unless pr_dump is False write the precision-recall curves as
-    _pr.dat (gnuplot blocks of recall precision score)."""
+def _write_ap_report(args, opts: _LabelOptions, pairs, missing_frames, pr_dump=True) -> None:
+    """Evaluate the pairs; write the AP table and the missing frames as
+    .json, the table as .csv, print it, and unless pr_dump is False write
+    the precision-recall curves as _pr.dat (gnuplot blocks of recall
+    precision score)."""
     cells = metrics.evaluate_pairs(pairs, opts.classes, opts.thresholds)
     payload = {
         "config": opts.config,
@@ -175,9 +176,8 @@ def _write_ap_report(args, opts: _LabelOptions, pairs, extra=None, pr_dump=True)
             }
             for c in cells
         ],
+        "missing_frames": missing_frames,
     }
-    if extra:
-        payload.update(extra)
     with open(args.output + ".json", "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -212,41 +212,21 @@ def _write_ap_report(args, opts: _LabelOptions, pairs, extra=None, pr_dump=True)
             f.write("\n\n")
 
 
-def _filtered_gts(gts: Dict[int, List[LabeledBox]], enabled: bool):
-    if not enabled:
-        return gts
-    return {k: apply_range_filter(v) for k, v in gts.items()}
-
-
-def cmd_eval(args) -> int:
-    opts = _label_options(args, "offline")
-    use_range = opts.config["range_filter"]
-    pairs = []
-    missing_frames = []
-    for name, gts, dets in _load_sequences(args.gt, args.det):
-        gts = _filtered_gts(gts, use_range)
-        for frame in sorted(gts):
-            if frame not in dets:
-                missing_frames.append({"sequence": name, "frame": frame})
-            preds = _boxes_to_preds(dets.get(frame, []), opts.class_ids, use_range)
-            pairs.append((preds, gts[frame]))
-    _write_ap_report(args, opts, pairs, {"missing_frames": missing_frames})
-    return 0
-
-
 def _stream_sequences(args, opts: _LabelOptions):
-    """Yield (schedule, outputs, gts) per sequence.
+    """Yield (schedule, outputs, gts, missing frames) per sequence.
 
-    The schedule simulates the worker on the sequence's frames; outputs are
-    range-filtered Box3D detections per frame and gts the range-filtered
-    ground truth. Every sequence uses the first n_frames entries of the one
-    latency trace.
+    The schedule simulates the worker on the sequence's frames, 0 to the
+    last labelled frame of either file; outputs are the evaluated classes'
+    Box3D detections per frame and gts the ground truth, both range-filtered
+    unless --no-range-filter; missing frames are the ground-truth frames
+    with no detection line. Every sequence uses the first n_frames entries
+    of the one latency trace.
     """
     use_range = opts.config["range_filter"]
-    for _, gts, dets in _load_sequences(args.gt, args.det):
+    for name, gts, dets in _load_sequences(args.gt, args.det):
         n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
         if opts.trace is None:
-            latencies = [opts.config["latency"]] * n_frames
+            latencies = [opts.stream["latency"]] * n_frames
         elif len(opts.trace) < n_frames:
             raise ParseError(
                 "latency trace has %d entries for %d frames" % (len(opts.trace), n_frames)
@@ -254,26 +234,33 @@ def _stream_sequences(args, opts: _LabelOptions):
         else:
             latencies = opts.trace[:n_frames]
         schedule = streaming_sim.build_schedule(
-            n_frames, opts.config["interval_ms"], latencies, skip_stale=opts.config["skip_stale"]
+            n_frames, opts.stream["interval_ms"], latencies, skip_stale=opts.stream["skip_stale"]
         )
-        outputs = {k: _boxes_to_preds(v, opts.class_ids, use_range) for k, v in dets.items()}
-        yield schedule, outputs, _filtered_gts(gts, use_range)
+        missing = [{"sequence": name, "frame": k} for k in sorted(gts) if k not in dets]
+        if use_range:
+            gts = {k: apply_range_filter(v) for k, v in gts.items()}
+            dets = {k: apply_range_filter(v) for k, v in dets.items()}
+        outputs = {k: _boxes_to_preds(v, opts.class_ids) for k, v in dets.items()}
+        yield schedule, outputs, gts, missing
 
 
-def cmd_stream_eval(args) -> int:
-    opts = _label_options(args, "streaming")
-    all_pairs = []
-    for schedule, outputs, gts in _stream_sequences(args, opts):
-        all_pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
-    _write_ap_report(args, opts, all_pairs)
+def cmd_eval(args) -> int:
+    """eval and stream-eval: pair each ground-truth instant with the latest
+    finished output; eval's schedule has zero latency."""
+    opts = _label_options(args)
+    pairs, missing_frames = [], []
+    for schedule, outputs, gts, missing in _stream_sequences(args, opts):
+        pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
+        missing_frames.extend(missing)
+    _write_ap_report(args, opts, pairs, missing_frames)
     return 0
 
 
 def cmd_streamer(args) -> int:
-    opts = _label_options(args, "streamer")
-    all_pairs = []
-    dump_lines = []
-    for schedule, det_boxes, gts in _stream_sequences(args, opts):
+    opts = _label_options(args)
+    all_pairs, dump_lines, missing_frames = [], [], []
+    for schedule, det_boxes, gts, missing in _stream_sequences(args, opts):
+        missing_frames.extend(missing)
         trackers = {cid: forecast.StreamerTracker() for cid in opts.class_ids.values()}
         last_world_ms = None
         for j, t_query, finished in streaming_sim.finished_by_instant(schedule):
@@ -318,7 +305,7 @@ def cmd_streamer(args) -> int:
                 )
     with open(args.output + "_forecasts.txt", "w") as f:
         f.write("\n".join(dump_lines) + ("\n" if dump_lines else ""))
-    _write_ap_report(args, opts, all_pairs, pr_dump=False)
+    _write_ap_report(args, opts, all_pairs, missing_frames, pr_dump=False)
     return 0
 
 
@@ -419,17 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="offline AP: frame k predictions vs frame k GT")
     add_eval_opts(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, mode="offline")
 
     p = sub.add_parser("stream-eval", help="latency-aware sAP")
     add_eval_opts(p)
     add_stream_opts(p)
-    p.set_defaults(func=cmd_stream_eval)
+    p.set_defaults(func=cmd_eval, mode="streaming")
 
     p = sub.add_parser("streamer", help="Kalman forecasting baseline + sAP")
     add_eval_opts(p)
     add_stream_opts(p)
-    p.set_defaults(func=cmd_streamer)
+    p.set_defaults(func=cmd_streamer, mode="streamer")
 
     p = sub.add_parser("flow", help="feature flow + pseudo-next warp on FGRD grids")
     p.add_argument("--current", required=True, help="FGRD grid at time t")

@@ -13,12 +13,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# On-edge classification tolerance for polygon clipping.
+# On-edge classification tolerance (m) for polygon clipping: a vertex at most
+# this far outside a clip edge counts as on it.
 _EDGE_EPS = 1e-9
 # Footprints smaller than this are treated as degenerate (IoU 0).
 _DEGENERATE_AREA = 1e-12
-# Absolute margin (m) of the zero-overlap prefilter, far above the rounding
-# error of corner coordinates.
+# Absolute margin (m) of the zero-overlap prefilter, far above _EDGE_EPS and
+# the rounding error of corner coordinates.
 _PREFILTER_GAP = 1e-6
 
 
@@ -60,8 +61,6 @@ class Box3D:
         object.__setattr__(self, "bev_area", w * l)
         object.__setattr__(self, "volume", h * w * l)
         object.__setattr__(self, "bev_diagonal", math.hypot(w, l))
-        # the prefilter's tolerance when this box is the clip polygon
-        object.__setattr__(self, "_clip_margin", _PREFILTER_GAP + _EDGE_EPS / min(w, l))
         # id(b) -> (b, area of this footprint clipped by b's)
         object.__setattr__(self, "_overlaps", {})
 
@@ -112,19 +111,22 @@ def polygon_area(vertices: np.ndarray) -> float:
 def _clip_polygon(subject, cp1, cp2):
     """Clip a polygon against the half-plane left of the edge cp1->cp2.
 
-    Points are (x, z) pairs of Python floats.
+    Points are (x, z) pairs of Python floats. A side value is the vertex's
+    signed distance from the edge times the edge length, so the tolerance
+    scales with the edge length too.
     """
     ex, ez = cp2[0] - cp1[0], cp2[1] - cp1[1]
     sides = [ex * (p[1] - cp1[1]) - ez * (p[0] - cp1[0]) for p in subject]
+    tol = -_EDGE_EPS * math.hypot(ex, ez)
     out = []
     for i, cur in enumerate(subject):
         prev = subject[i - 1]
         sc, sp = sides[i], sides[i - 1]
-        if sc >= -_EDGE_EPS:
-            if sp < -_EDGE_EPS:
+        if sc >= tol:
+            if sp < tol:
                 out.append(_intersect(prev, cur, cp1, cp2))
             out.append(tuple(cur))
-        elif sp >= -_EDGE_EPS:
+        elif sp >= tol:
             out.append(_intersect(prev, cur, cp1, cp2))
     return out
 
@@ -169,15 +171,14 @@ def _bev_intersection(a: Box3D, b: Box3D) -> float:
     """BEV footprint intersection area of a clipped by b.
 
     Returns 0.0 without clipping when the circumscribed circles lie farther
-    apart than the clip's on-edge tolerance (_EDGE_EPS over b's shorter
-    side) plus _PREFILTER_GAP: clipping then keeps no vertex and returns 0.0
-    as well. NaN distances fail the strict test and are clipped. Each pair is
-    clipped once: the area is kept on a together with b itself, so b's id
-    cannot be reused while the entry lives. The key is ordered, because
-    clipping b by a can differ in the last bit.
+    apart than _PREFILTER_GAP, which exceeds the clip's on-edge tolerance:
+    clipping then keeps no vertex and returns 0.0 as well. NaN distances
+    fail the strict test and are clipped. Each pair is clipped once: the
+    area is kept on a together with b itself, so b's id cannot be reused
+    while the entry lives. The key is ordered, because clipping b by a can
+    differ in the last bit.
     """
-    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
-    reach += b._clip_margin
+    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal) + _PREFILTER_GAP
     dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
     if dx * dx + dz * dz > reach * reach:
         return 0.0

@@ -96,6 +96,11 @@ DEFAULT_EVAL_RANGE = {
 }
 
 
+# Frame indices must lie below this (about 28 h of 10 Hz video): a schedule
+# holds one event per frame up to the last labelled one.
+MAX_FRAME_INDEX = 10**6
+
+
 def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
     """Parse label text into a frame -> boxes map, preserving line order."""
     frames: Dict[int, List[LabeledBox]] = {}
@@ -117,6 +122,10 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
             raise ParseError("line %d: non-finite numeric field" % lineno)
         if frame < 0:
             raise ParseError("line %d: negative frame index %d" % (lineno, frame))
+        if frame >= MAX_FRAME_INDEX:
+            raise ParseError(
+                "line %d: frame index %d is not below %d" % (lineno, frame, MAX_FRAME_INDEX)
+            )
         dims = tuple(nums[7:10])
         if fields[2] != "DontCare" and min(dims) <= 0.0:  # KITTI DontCare may have dims -1
             raise ParseError("line %d: dims must be positive, got %r" % (lineno, dims))
@@ -160,17 +169,8 @@ def format_tracking_labels(frames: Dict[int, List[LabeledBox]]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def in_eval_range(center: Sequence[float]) -> bool:
-    """True when the (x, y, z) center lies inside the closed evaluation range."""
-    x, y, z = center
-    rng = DEFAULT_EVAL_RANGE
-    return (
-        rng["x"][0] <= x <= rng["x"][1]
-        and rng["y"][0] <= y <= rng["y"][1]
-        and rng["z"][0] <= z <= rng["z"][1]
-    )
-
-
 def apply_range_filter(boxes: Sequence[LabeledBox]) -> List[LabeledBox]:
-    """Keep boxes whose center lies inside the closed evaluation range."""
-    return [b for b in boxes if in_eval_range(b.location)]
+    """Keep boxes whose (x, y, z) center lies inside the closed evaluation range."""
+    (x0, x1), (y0, y1), (z0, z1) = (DEFAULT_EVAL_RANGE[axis] for axis in "xyz")
+    return [b for b in boxes if x0 <= b.location[0] <= x1 and y0 <= b.location[1] <= y1
+            and z0 <= b.location[2] <= z1]

@@ -1,11 +1,15 @@
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamperc import cli, geometry
+from streamperc import cli, geometry, streaming_sim
 from streamperc.grid_ops import read_fgrd, write_fgrd
 from streamperc.kitti_io import format_tracking_labels
 
@@ -127,6 +131,71 @@ class TestEval:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+_SLOT = st.tuples(
+    st.sampled_from(["Car", "Pedestrian"]),
+    st.sampled_from([-6.0, 0.0, 6.0]),  # x
+    st.sampled_from([10.0, 30.0, 60.0]),  # z; 60 m lies beyond the range crop
+    st.sampled_from([20.0, 30.0, 50.0]),  # 2D box height: every difficulty
+)
+_DET_SLOT = st.tuples(_SLOT, st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([0.3, 0.6, 0.9]))
+
+
+@st.composite
+def label_worlds(draw):
+    """(ground truth, detections) over up to six frames, each frame's list
+    possibly empty: frames with no ground-truth line, frames with no
+    detection line and detection-only frames after the last ground truth
+    all occur."""
+    gts, dets = {}, {}
+    for f in range(draw(st.integers(1, 6))):
+        gts[f] = [make_gt(frame=f, track_id=i, class_name=c, x=x, z=z, bbox_height=bh)
+                  for i, (c, x, z, bh) in enumerate(draw(st.lists(_SLOT, max_size=3)))]
+        dets[f] = [make_gt(frame=f, track_id=-1, class_name=c, x=x + dx, z=z, bbox_height=bh,
+                           score=score)
+                   for (c, x, z, bh), dx, score in draw(st.lists(_DET_SLOT, max_size=3))]
+    return gts, dets
+
+
+class TestOfflineIsZeroLatency:
+    """eval is stream-eval on a zero-latency schedule: every frame from 0 to
+    the last labelled frame of either file is scored."""
+
+    @staticmethod
+    def run_both(tmp, gts, dets):
+        gt = write_labels(tmp / "gt.txt", gts)
+        det = write_labels(tmp / "det.txt", dets)
+        for command, flags in (("eval", []), ("stream-eval", ["--latency-ms", "0"])):
+            assert cli.main([command, "--gt", gt, "--det", det,
+                             "--output", str(tmp / command)] + flags) == 0
+        for suffix in (".csv", "_pr.dat"):
+            assert (tmp / ("eval" + suffix)).read_bytes() == \
+                (tmp / ("stream-eval" + suffix)).read_bytes()
+        return json.loads((tmp / "eval.json").read_text())
+
+    @settings(max_examples=40, deadline=None)
+    @given(world=label_worlds())
+    def test_reports_identical(self, world):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.run_both(Path(tmp), *world)
+
+    def test_false_positive_on_frame_without_ground_truth(self, tmp_path):
+        # frame 1 has no ground-truth line and one 0.9 false positive; the
+        # 0.8 detections of frames 0 and 2 are exact: precision 2/3 at full
+        # recall. eval used to skip frame 1 and report 1.0.
+        gts = {0: [make_gt(frame=0)], 2: [make_gt(frame=2)]}
+        dets = {0: [make_gt(frame=0, score=0.8)], 1: [make_gt(frame=1, x=8.0, score=0.9)],
+                2: [make_gt(frame=2, score=0.8)]}
+        payload = self.run_both(tmp_path, gts, dets)
+        car = [r["ap"] for r in payload["results"] if r["class"] == "Car"]
+        assert len(car) == 12 and all(ap == pytest.approx(2.0 / 3.0) for ap in car)
+        assert payload["config"] == {
+            "mode": "offline", "classes": ["Car", "Pedestrian", "Cyclist"],
+            "iou_thresholds": [0.7, 0.5], "range_filter": True,
+            "eval_range": {k: list(v) for k, v in cli.DEFAULT_EVAL_RANGE.items()},
+        }
+        assert payload["missing_frames"] == []
+
+
 class TestStreamEval:
     def test_zero_latency_matches_offline(self, tmp_path):
         gt = write_labels(tmp_path / "gt.txt", simple_world())
@@ -198,6 +267,30 @@ class TestStreamEval:
                        "--output", str(tmp_path / "r")])
         assert rc == 3
         assert "data error: no sequences" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stream-eval", "streamer"])
+    def test_missing_frames_reported(self, tmp_path, command):
+        gt = write_labels(tmp_path / "gt.txt", simple_world(4))
+        partial = simple_world(4, score=0.9)
+        del partial[2]
+        det = write_labels(tmp_path / "det.txt", partial)
+        assert cli.main([command, "--gt", gt, "--det", det,
+                         "--output", str(tmp_path / "r"), "--latency-ms", "50"]) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["missing_frames"] == [{"sequence": "gt.txt", "frame": 2}]
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    def test_missing_detection_file_reported(self, tmp_path, command):
+        for name in ("gt", "det"):
+            (tmp_path / name).mkdir()
+        write_labels(tmp_path / "gt" / "0000.txt", simple_world(2))
+        write_labels(tmp_path / "gt" / "0001.txt", simple_world(2))
+        write_labels(tmp_path / "det" / "0000.txt", simple_world(2, score=0.9))
+        assert cli.main([command, "--gt", str(tmp_path / "gt"), "--det", str(tmp_path / "det"),
+                         "--output", str(tmp_path / "r")]) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["missing_frames"] == [{"sequence": "0001.txt", "frame": 0},
+                                             {"sequence": "0001.txt", "frame": 1}]
 
 
 class TestStreamer:
@@ -555,6 +648,22 @@ class TestBadLabels:
                        "--output", str(tmp_path / "r")])
         assert rc == 3
         assert "line 2: negative frame" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    def test_huge_frame_is_data_error(self, tmp_path, capsys, monkeypatch, command):
+        # rejected while parsing, before any schedule is built
+        def fail(*args, **kwargs):
+            raise AssertionError("schedule built")
+
+        monkeypatch.setattr(streaming_sim, "build_schedule", fail)
+        gt_lines = format_tracking_labels(simple_world(2)).splitlines()
+        gt_lines[1] = "1000000" + gt_lines[1][1:]
+        (tmp_path / "gt.txt").write_text("\n".join(gt_lines) + "\n")
+        det = write_labels(tmp_path / "det.txt", simple_world(2, score=0.9))
+        rc = cli.main([command, "--gt", str(tmp_path / "gt.txt"), "--det", det,
+                       "--output", str(tmp_path / "r")])
+        assert rc == 3
+        assert "line 2: frame index 1000000 is not below" in capsys.readouterr().err
 
 
 class TestUsageErrors:

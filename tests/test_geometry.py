@@ -23,7 +23,11 @@ from conftest import make_box
 
 # Reference oracle: the plain per-pair rotated IoU, which always builds both
 # footprints and clips them as numpy rows, with no zero-overlap shortcut.
-# The fast path in streamperc.geometry must agree with it bit for bit.
+# The fast path in streamperc.geometry must agree with it bit for bit. A
+# vertex is on a clip edge when it lies at most _EDGE_EPS m outside it; with
+# relative=False it is when its cross product with the edge is at least
+# -_EDGE_EPS, the earlier rule, which keeps vertices up to _EDGE_EPS / (edge
+# length) m outside.
 _EDGE_EPS = 1e-9
 _DEGENERATE_AREA = 1e-12
 
@@ -57,8 +61,9 @@ def ref_polygon_area(vertices):
     return 0.5 * float(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)))
 
 
-def ref_clip_polygon(subject, cp1, cp2):
+def ref_clip_polygon(subject, cp1, cp2, relative):
     ex, ez = cp2[0] - cp1[0], cp2[1] - cp1[1]
+    tol = -_EDGE_EPS * (math.hypot(ex, ez) if relative else 1.0)
 
     def side(p):
         return ex * (p[1] - cp1[1]) - ez * (p[0] - cp1[0])
@@ -69,11 +74,11 @@ def ref_clip_polygon(subject, cp1, cp2):
         cur = subject[i]
         prev = subject[i - 1]
         sc, sp = side(cur), side(prev)
-        if sc >= -_EDGE_EPS:
-            if sp < -_EDGE_EPS:
+        if sc >= tol:
+            if sp < tol:
                 out.append(ref_intersect(prev, cur, cp1, cp2))
             out.append(tuple(cur))
-        elif sp >= -_EDGE_EPS:
+        elif sp >= tol:
             out.append(ref_intersect(prev, cur, cp1, cp2))
     return out
 
@@ -88,7 +93,7 @@ def ref_intersect(p1, p2, q1, q2):
     return (p1[0] + t * dpx, p1[1] + t * dpz)
 
 
-def ref_polygon_intersection_area(a, b):
+def ref_polygon_intersection_area(a, b, relative=True):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 3 or len(b) < 3:
@@ -102,28 +107,28 @@ def ref_polygon_intersection_area(a, b):
     for i in range(nb):
         if len(poly) < 3:
             return 0.0
-        poly = ref_clip_polygon(np.asarray(poly), b[i - 1], b[i])
+        poly = ref_clip_polygon(np.asarray(poly), b[i - 1], b[i], relative)
     if len(poly) < 3:
         return 0.0
     return abs(ref_polygon_area(np.asarray(poly)))
 
 
-def ref_iou_bev(a, b):
+def ref_iou_bev(a, b, relative=True):
     area_a, area_b = a.bev_area, b.bev_area
     if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
         return 0.0
-    inter = ref_polygon_intersection_area(ref_bev_corners(a), ref_bev_corners(b))
+    inter = ref_polygon_intersection_area(ref_bev_corners(a), ref_bev_corners(b), relative)
     union = area_a + area_b - inter
     if union <= _DEGENERATE_AREA:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
 
 
-def ref_iou_3d(a, b):
+def ref_iou_3d(a, b, relative=True):
     area_a, area_b = a.bev_area, b.bev_area
     if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
         return 0.0
-    inter_bev = ref_polygon_intersection_area(ref_bev_corners(a), ref_bev_corners(b))
+    inter_bev = ref_polygon_intersection_area(ref_bev_corners(a), ref_bev_corners(b), relative)
     ya_top, ya_bot = a.center[1] - a.dims[0], a.center[1]
     yb_top, yb_bot = b.center[1] - b.dims[0], b.center[1]
     overlap = min(ya_bot, yb_bot) - max(ya_top, yb_top)
@@ -351,18 +356,17 @@ class TestBox3D:
         assert box.bev_area == w * l
         assert box.volume == h * w * l
         assert box.bev_diagonal == math.hypot(w, l)
-        assert box._clip_margin == geometry._PREFILTER_GAP + geometry._EDGE_EPS / min(w, l)
 
     def test_iou_scalars_are_not_fields(self):
         box = make_box(z=10.0)
-        names = {"bev_area", "volume", "bev_diagonal", "_clip_margin"}
+        names = {"bev_area", "volume", "bev_diagonal"}
         assert not names & {f.name for f in dataclasses.fields(box)}
         assert not any(name + "=" in repr(box) for name in names)
         other = make_box(z=10.0)
         object.__setattr__(other, "bev_area", 0.0)
         assert other == box and hash(other) == hash(box)
 
-    @pytest.mark.parametrize("name", ["bev_area", "volume", "bev_diagonal", "_clip_margin"])
+    @pytest.mark.parametrize("name", ["bev_area", "volume", "bev_diagonal"])
     def test_iou_scalars_are_frozen(self, name):
         box = make_box(z=10.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -372,7 +376,6 @@ class TestBox3D:
         box = dataclasses.replace(make_box(z=10.0), dims=(2.0, 0.5, 8.0))
         assert (box.bev_area, box.volume) == (4.0, 8.0)
         assert box.bev_diagonal == math.hypot(0.5, 8.0)
-        assert box._clip_margin == geometry._PREFILTER_GAP + geometry._EDGE_EPS / 0.5
 
     def test_corners_cached_and_read_only(self):
         box = make_box(x=1.0, z=10.0, yaw=0.3)
@@ -436,8 +439,7 @@ class TestIouMatchesReference:
         pytest.param(random_pairs(), id="random"),
         pytest.param(identical_pairs(), id="identical"),
         pytest.param(near_touching_pairs(), id="near-touching"),
-        # footprints under a millimetre, just beyond the prefilter's margin:
-        # there the clip's on-edge tolerance reaches farther than the margin
+        # footprints under a millimetre, just beyond the prefilter's margin
         pytest.param(near_touching_pairs(_TINY_DIMS, st.floats(0.0, 2e-5)), id="tiny-near-touching"),
         pytest.param(vertically_disjoint_pairs(), id="vertically-disjoint"),
     ])
@@ -449,10 +451,53 @@ class TestIouMatchesReference:
             assert iou_bev(p, q) == ref_iou_bev(p, q)
             assert iou_3d(p, q) == ref_iou_3d(p, q)
 
+    @pytest.mark.parametrize("pairs", [
+        pytest.param(random_pairs(), id="random"),
+        pytest.param(identical_pairs(), id="identical"),
+        pytest.param(near_touching_pairs(), id="near-touching"),
+        pytest.param(vertically_disjoint_pairs(), id="vertically-disjoint"),
+    ])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_metre_scale_barely_moved_by_relative_tolerance(self, pairs, data):
+        # the two on-edge rules disagree only on vertices within a few nm of
+        # a clip edge (say, an edge turned by 1e-9 rad), and then by far less
+        # than any IoU threshold
+        a, b = data.draw(pairs)
+        for p, q in ((a, b), (b, a)):
+            assert abs(iou_bev(p, q) - ref_iou_bev(p, q, relative=False)) <= 1e-6
+            assert abs(iou_3d(p, q) - ref_iou_3d(p, q, relative=False)) <= 1e-6
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=3, max_size=8))
     def test_polygon_area_bit_identical(self, vertices):
         assert polygon_area(vertices) == ref_polygon_area(vertices)
+
+
+class TestTinyDisjointFootprints:
+    """Disjoint sub-millimetre footprints score 0. The clip's on-edge
+    tolerance used to be an absolute cross product, about 1e-9 / (edge
+    length) m away from a clip edge: these pairs then scored 1.0 and
+    0.00015 (the latter in the oracle only)."""
+
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(
+            _box(0.0, 0.0, 10.0, (1.5, 0.0002403092732337204, 0.00045423012108116985),
+                 -0.02738947744835407),
+            _box(-0.00015784051365403423, 0.0, 9.999779086634257,
+                 (1.5, 1.763774618976614e-06, 1.2550690257394217e-06), 1.732340106813079),
+            id="mm-and-um"),
+        pytest.param(
+            _box(0.0, 0.0, 0.0, (1.0, 0.00028016891164498646, 0.00024127953234610755),
+                 -3.09375),
+            _box(-0.00035069903110315895, 0.0, 0.0002794690851981389,
+                 (1.0, 0.00020992996522436452, 0.0004400562056860567), 0.0),
+            id="sub-mm-near-touching"),
+    ])
+    def test_scores_zero(self, a, b):
+        for p, q in ((a, b), (b, a)):
+            assert iou_bev(p, q) == ref_iou_bev(p, q) == 0.0
+            assert iou_3d(p, q) == ref_iou_3d(p, q) == 0.0
 
 
 class TestZeroOverlapShortcut:

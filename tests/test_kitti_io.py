@@ -101,6 +101,17 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2: negative frame index -1"):
             parse_tracking_labels(GT_LINE + "\n-1" + GT_LINE[1:])
 
+    @pytest.mark.parametrize("frame", [10**6, 10**12])
+    def test_huge_frame_names_line_number(self, frame):
+        # a schedule holds one event per frame up to the last labelled one,
+        # so such an index used to exhaust memory in stream-eval
+        with pytest.raises(ParseError, match="line 2: frame index %d is not below 1000000" % frame):
+            parse_tracking_labels(GT_LINE + "\n%d" % frame + GT_LINE[1:])
+
+    def test_last_allowed_frame_parses(self):
+        frames = parse_tracking_labels("%d" % (kitti_io.MAX_FRAME_INDEX - 1) + GT_LINE[1:])
+        assert list(frames) == [999999]
+
     def test_non_numeric_field(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_tracking_labels(GT_LINE.replace("10.0", "abc"))
