@@ -92,7 +92,9 @@ def compute_flow(
     d: int = DEFAULT_MAX_DISPLACEMENT,
     r_d: int = DEFAULT_DOWNSAMPLE_RATIO,
 ) -> np.ndarray:
-    """Full flow pipeline: max-pool by r_d, match, upsample, rescale units."""
+    """Full flow pipeline: max-pool by r_d, match, upsample, rescale units.
+
+    d is clamped below the pooled grid's size, where no shift is valid."""
     f_t = as_grid(f_t)
     f_tm1 = as_grid(f_tm1)
     if f_t.shape != f_tm1.shape:
@@ -100,9 +102,9 @@ def compute_flow(
     if r_d < 1:
         raise ValueError("downsample ratio must be >= 1")
     h, w, _ = f_t.shape
-    shifts = shift_set(d)
     pooled_t = max_pool(f_t, r_d)
     pooled_p = max_pool(f_tm1, r_d)
+    shifts = shift_set(min(d, max(pooled_t.shape[:2]) - 1))
     vol = similarity_volume(pooled_t, pooled_p, shifts)
     flow = argmax_flow(vol, shifts)
     if r_d > 1:

@@ -17,6 +17,7 @@ import numpy as np
 
 FGRD_MAGIC = b"FGRD"
 FGRD_VERSION = 1
+_DEPTHWISE_ROW_BLOCK = 16  # output rows per depthwise conv2d accumulation block
 
 
 def as_grid(data) -> np.ndarray:
@@ -65,17 +66,20 @@ class ConvSpec:
 
 
 def max_pool(g: np.ndarray, ratio: int) -> np.ndarray:
-    """Channel-wise max over ratio x ratio windows; edge windows may be partial."""
+    """Channel-wise max over ratio x ratio windows; edge windows may be partial.
+
+    A ratio beyond an axis is clamped to it: same windows, bounded padding."""
     if ratio < 1:
         raise ValueError("ratio must be >= 1")
     g = as_grid(g)
     h, w, c = g.shape
-    ho = (h + ratio - 1) // ratio
-    wo = (w + ratio - 1) // ratio
+    rh, rw = min(ratio, h), min(ratio, w)
+    ho = (h + rh - 1) // rh
+    wo = (w + rw - 1) // rw
     # -inf padding never wins a max: every window holds at least one input.
-    padded = np.full((ho * ratio, wo * ratio, c), -np.inf)
+    padded = np.full((ho * rh, wo * rw, c), -np.inf)
     padded[:h, :w] = g
-    return padded.reshape(ho, ratio, wo, ratio, c).max(axis=(1, 3))
+    return padded.reshape(ho, rh, wo, rw, c).max(axis=(1, 3))
 
 
 def bilinear_sample(g: np.ndarray, row: float, col: float) -> np.ndarray:
@@ -159,13 +163,26 @@ def conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     ho = (h + 2 * ph - keff_h) // s + 1
     wo = (w + 2 * pw - keff_w) // s + 1
     out = np.zeros((ho, wo, spec.out_channels))
-    for ki in range(kh):
-        for kj in range(kw):
-            patch = padded[
-                ki * d : ki * d + (ho - 1) * s + 1 : s,
-                kj * d : kj * d + (wo - 1) * s + 1 : s,
-            ]
-            out += _tap_product(patch, spec.weights[:, :, ki, kj], spec.groups)
+    # One input channel per group: each tap multiplies a cache-sized block of output
+    # rows into one reused buffer, still adding taps in (ki, kj) order from 0.0.
+    depthwise = spec.weights.shape[1] == 1
+    block = _DEPTHWISE_ROW_BLOCK if depthwise else ho
+    out_dw = out.reshape(ho, wo, spec.groups, -1)
+    w_dw = spec.weights[:, 0].reshape(spec.groups, -1, kh, kw)
+    buf = np.empty((min(block, ho),) + out_dw.shape[1:]) if depthwise else None
+    for r0 in range(0, ho, block):
+        n = min(block, ho - r0)
+        for ki in range(kh):
+            for kj in range(kw):
+                patch = padded[
+                    ki * d + r0 * s : ki * d + (r0 + n - 1) * s + 1 : s,
+                    kj * d : kj * d + (wo - 1) * s + 1 : s,
+                ]
+                if depthwise:
+                    np.multiply(patch[..., None], w_dw[:, :, ki, kj], out=buf[:n])
+                    out_dw[r0 : r0 + n] += buf[:n]
+                else:
+                    out[r0 : r0 + n] += _tap_product(patch, spec.weights[:, :, ki, kj], spec.groups)
     if spec.bias is not None:
         out += spec.bias
     return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,34 @@ class TestComputeFlow:
         g = textured_grid(4, 4, 2)
         with pytest.raises(ValueError):
             compute_flow(g, g, d=1, r_d=0)
+
+    def test_negative_d(self):
+        g = textured_grid(4, 4, 2)
+        with pytest.raises(ValueError):
+            compute_flow(g, g, d=-1, r_d=1)
+
+    @pytest.mark.parametrize("r_d", [1, 2, 3])
+    def test_d_beyond_pooled_grid_is_clamped(self, r_d):
+        # rounded values make ties common, so the tie-break must survive the
+        # clamp too; the largest useful shift is the pooled grid's side - 1
+        rng = np.random.default_rng(r_d)
+        f_t, f_tm1 = (np.round(rng.uniform(size=(4, 7, 2)), 1) for _ in range(2))
+        dmax = max(-(-4 // r_d), -(-7 // r_d)) - 1
+        clamped = compute_flow(f_t, f_tm1, d=dmax, r_d=r_d).tobytes()
+        for d in (dmax + 1, dmax + 5):
+            assert compute_flow(f_t, f_tm1, d=d, r_d=r_d).tobytes() == clamped
+
+    def test_huge_d_stays_small(self):
+        g = textured_grid(4, 4, 2, seed=3)
+        f_t = translate_grid(g, 1, 0)
+        tracemalloc.start()
+        try:
+            flow = compute_flow(f_t, g, d=300, r_d=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert flow.tobytes() == compute_flow(f_t, g, d=1, r_d=2).tobytes()
 
 
 class TestWarpPseudoNext:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,8 @@ def random_spec(rng, cin, cout, k, bias=False, **kw):
                     bias=rng.normal(size=cout) if bias else None, **kw)
 
 
-GRID_SHAPES = [(64, 64), (13, 7)]
+# (37, 9) spans several 16-row depthwise blocks with a ragged last one.
+GRID_SHAPES = [(64, 64), (13, 7), (37, 9)]
 
 
 class TestMaxPool:
@@ -181,6 +184,21 @@ class TestMaxPool:
     def test_zero_ratio(self):
         with pytest.raises(ValueError):
             max_pool(textured_grid(2, 2, 1), 0)
+
+    def test_ratio_beyond_grid_is_global_max(self, rng):
+        g = rng.normal(size=(4, 4, 1))
+        tracemalloc.start()
+        try:
+            out = max_pool(g, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert out.tobytes() == g.max(axis=(0, 1)).reshape(1, 1, 1).tobytes()
+        # each axis is clamped on its own: ratio 5 on a 4x9 grid has one
+        # 4-row window and 5-wide column windows {0..4}, {5..8}
+        g = rng.normal(size=(4, 9, 2))
+        assert max_pool(g, 5).tobytes() == naive_max_pool(g, 5).tobytes()
 
 
 class TestBilinearSample:
@@ -290,11 +308,23 @@ class TestConv2d:
         (8, 6, 1, dict()),  # dense pointwise
         (4, 5, 3, dict(stride=2, bias=True)),  # dense strided
         (4, 4, 3, dict(dilation=2, bias=True)),  # dense dilated
+        (8, 8, 3, dict(stride=2, dilation=2, groups=8, bias=True)),  # depthwise strided
+        (2, 6, 3, dict(stride=2, groups=2, bias=True)),  # channel multiplier, strided
     ])
     def test_bit_identical_to_channel_loop(self, rng, hw, cin, cout, k, opts):
         g = rng.normal(size=hw + (cin,))
         spec = random_spec(rng, cin, cout, k, **opts)
-        assert np.array_equal(conv2d(g, spec), loop_conv2d(g, spec))
+        assert conv2d(g, spec).tobytes() == loop_conv2d(g, spec).tobytes()
+
+    @pytest.mark.parametrize("hw", GRID_SHAPES)
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_depthwise_bit_identical_on_half_zero_grid(self, rng, hw, bias):
+        # zero inputs times negative weights give -0.0 products; the bytes,
+        # signed zeros included, must still match the loop
+        g = rng.normal(size=hw + (4,))
+        g[: hw[0] // 2] = 0.0
+        spec = random_spec(rng, 4, 4, 5, bias, groups=4)
+        assert conv2d(g, spec).tobytes() == loop_conv2d(g, spec).tobytes()
 
     def test_linearity(self, rng):
         a = rng.normal(size=(6, 6, 3))
@@ -346,7 +376,7 @@ class TestTransposeConv2d:
     def test_bit_identical_to_channel_loop(self, rng, hw, cin, cout, k, opts):
         g = rng.normal(size=hw + (cin,))
         spec = random_spec(rng, cin, cout, k, transpose=True, **opts)
-        assert np.array_equal(transpose_conv2d(g, spec), loop_transpose_conv2d(g, spec))
+        assert transpose_conv2d(g, spec).tobytes() == loop_transpose_conv2d(g, spec).tobytes()
 
     def test_requires_transpose_spec(self):
         with pytest.raises(ValueError):
