@@ -54,6 +54,8 @@ class Box3D:
         h, w, l = self.dims
         if not all(0 < d < math.inf for d in (h, w, l)):
             raise ValueError("box dims must be positive and finite, got %r" % (self.dims,))
+        if not all(-math.inf < v < math.inf for v in (*self.center, self.yaw)):
+            raise ValueError("box center and yaw must be finite, got %r, %r" % (self.center, self.yaw))
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
         # Plain attributes, not fields (so not in ==, repr or hash), set here:
         # on CPython 3.11 an attribute added after the instance dict exists
@@ -132,13 +134,14 @@ def _clip_polygon(subject, cp1, cp2):
 
 
 def _intersect(p1, p2, q1, q2):
-    """Intersection of lines p1-p2 and q1-q2."""
+    """Point where line q1-q2 crosses segment p1-p2, clamped to the segment:
+    the lines of nearly parallel edges can meet far outside it."""
     dpx, dpz = p2[0] - p1[0], p2[1] - p1[1]
     dqx, dqz = q2[0] - q1[0], q2[1] - q1[1]
     denom = dpx * dqz - dpz * dqx
     if abs(denom) < _EDGE_EPS * _EDGE_EPS:
         return (p2[0], p2[1])
-    t = ((q1[0] - p1[0]) * dqz - (q1[1] - p1[1]) * dqx) / denom
+    t = min(max(((q1[0] - p1[0]) * dqz - (q1[1] - p1[1]) * dqx) / denom, 0.0), 1.0)
     return (p1[0] + t * dpx, p1[1] + t * dpz)
 
 
@@ -167,21 +170,23 @@ def _clip_area(poly: list, clip: list) -> float:
     return abs(polygon_area(np.asarray(poly)))
 
 
+def _circles_apart(a: Box3D, b: Box3D) -> bool:
+    """Whether the footprints' circumscribed circles lie farther apart than
+    _PREFILTER_GAP, which exceeds the clip's on-edge tolerance: clipping then
+    keeps no vertex and returns 0.0 as well. Both IoUs test degenerate areas,
+    then this, then (iou_3d) the vertical overlap, then the memoised clip."""
+    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal) + _PREFILTER_GAP
+    dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
+    return dx * dx + dz * dz > reach * reach
+
+
 def _bev_intersection(a: Box3D, b: Box3D) -> float:
     """BEV footprint intersection area of a clipped by b.
 
-    Returns 0.0 without clipping when the circumscribed circles lie farther
-    apart than _PREFILTER_GAP, which exceeds the clip's on-edge tolerance:
-    clipping then keeps no vertex and returns 0.0 as well. NaN distances
-    fail the strict test and are clipped. Each pair is clipped once: the
-    area is kept on a together with b itself, so b's id cannot be reused
-    while the entry lives. The key is ordered, because clipping b by a can
-    differ in the last bit.
+    Each pair is clipped once: the area is kept on a together with b itself,
+    so b's id cannot be reused while the entry lives. The key is ordered,
+    because clipping b by a can differ in the last bit.
     """
-    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal) + _PREFILTER_GAP
-    dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
-    if dx * dx + dz * dz > reach * reach:
-        return 0.0
     entry = a._overlaps.get(id(b))
     if entry is not None and entry[0] is b:
         return entry[1]
@@ -193,11 +198,10 @@ def _bev_intersection(a: Box3D, b: Box3D) -> float:
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Rotated IoU of the BEV footprints."""
     area_a, area_b = a.bev_area, b.bev_area
-    if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
+    if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA or _circles_apart(a, b):
         return 0.0
     inter = _bev_intersection(a, b)
-    union = area_a + area_b - inter
-    if union <= _DEGENERATE_AREA:
+    if inter == 0.0 or (union := area_a + area_b - inter) <= _DEGENERATE_AREA:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
 
@@ -207,17 +211,16 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 
     The vertical extent is [y - h, y]: y is the bottom-center coordinate.
     """
-    area_a, area_b = a.bev_area, b.bev_area
-    if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
+    if a.bev_area < _DEGENERATE_AREA or b.bev_area < _DEGENERATE_AREA or _circles_apart(a, b):
         return 0.0
-    ya_top, ya_bot = a.center[1] - a.dims[0], a.center[1]
-    yb_top, yb_bot = b.center[1] - b.dims[0], b.center[1]
-    overlap = min(ya_bot, yb_bot) - max(ya_top, yb_top)
-    if overlap <= 0.0:
+    # min(bottoms) - max(tops) by plain comparisons, which cost less than the builtins
+    ya_bot, yb_bot = a.center[1], b.center[1]
+    ya_top, yb_top = ya_bot - a.dims[0], yb_bot - b.dims[0]
+    overlap = (yb_bot if yb_bot < ya_bot else ya_bot) - (yb_top if yb_top > ya_top else ya_top)
+    if overlap <= 0.0 or (inter := _bev_intersection(a, b)) == 0.0:
         return 0.0
-    inter = _bev_intersection(a, b) * overlap
-    union = a.volume + b.volume - inter
-    if union <= _DEGENERATE_AREA:
+    inter *= overlap
+    if (union := a.volume + b.volume - inter) <= _DEGENERATE_AREA:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
 

@@ -27,7 +27,8 @@ from conftest import make_box
 # vertex is on a clip edge when it lies at most _EDGE_EPS m outside it; with
 # relative=False it is when its cross product with the edge is at least
 # -_EDGE_EPS, the earlier rule, which keeps vertices up to _EDGE_EPS / (edge
-# length) m outside.
+# length) m outside. A new vertex lies where the clip line crosses the
+# subject edge, clamped to that edge.
 _EDGE_EPS = 1e-9
 _DEGENERATE_AREA = 1e-12
 
@@ -90,6 +91,7 @@ def ref_intersect(p1, p2, q1, q2):
     if abs(denom) < _EDGE_EPS * _EDGE_EPS:
         return (p2[0], p2[1])
     t = ((q1[0] - p1[0]) * dqz - (q1[1] - p1[1]) * dqx) / denom
+    t = min(max(t, 0.0), 1.0)
     return (p1[0] + t * dpx, p1[1] + t * dpz)
 
 
@@ -340,6 +342,22 @@ class TestBox3D:
         with pytest.raises(ValueError, match="dims must be positive"):
             Box3D(center=(0.0, 0.0, 10.0), dims=dims, yaw=0.0)
 
+    @pytest.mark.parametrize("center, yaw", [
+        pytest.param((float("nan"), 1.5, 10.0), 0.0, id="nan-x"),
+        pytest.param((0.0, float("nan"), 10.0), 0.0, id="nan-y"),
+        pytest.param((0.0, 1.5, float("nan")), 0.0, id="nan-z"),
+        pytest.param((float("inf"), 1.5, 10.0), 0.0, id="inf-x"),
+        pytest.param((0.0, -float("inf"), 10.0), 0.0, id="-inf-y"),
+        pytest.param((0.0, 1.5, float("inf")), 0.0, id="inf-z"),
+        pytest.param((0.0, 1.5, 10.0), float("nan"), id="nan-yaw"),
+        pytest.param((0.0, 1.5, 10.0), float("inf"), id="inf-yaw"),
+        pytest.param((0.0, 1.5, 10.0), -float("inf"), id="-inf-yaw"),
+    ])
+    def test_rejects_non_finite_center_or_yaw(self, center, yaw):
+        # a NaN centre y used to give iou_3d 0.777 one way round and nan the other
+        with pytest.raises(ValueError, match="center and yaw must be finite"):
+            Box3D(center=center, dims=(1.5, 1.6, 3.9), yaw=yaw)
+
     @pytest.mark.parametrize("field, value", [
         ("center", (1.0, 0.0, 10.0)), ("dims", (1.5, 1.6, 4.0)), ("yaw", 0.5),
         ("score", 0.5), ("class_id", 1), ("track_id", 3),
@@ -448,8 +466,8 @@ class TestIouMatchesReference:
     def test_iou_bit_identical(self, pairs, data):
         a, b = data.draw(pairs)
         for p, q in ((a, b), (b, a)):
-            assert iou_bev(p, q) == ref_iou_bev(p, q)
-            assert iou_3d(p, q) == ref_iou_3d(p, q)
+            assert iou_bev(p, q).hex() == ref_iou_bev(p, q).hex()
+            assert iou_3d(p, q).hex() == ref_iou_3d(p, q).hex()
 
     @pytest.mark.parametrize("pairs", [
         pytest.param(random_pairs(), id="random"),
@@ -471,14 +489,17 @@ class TestIouMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=3, max_size=8))
     def test_polygon_area_bit_identical(self, vertices):
-        assert polygon_area(vertices) == ref_polygon_area(vertices)
+        assert polygon_area(vertices).hex() == ref_polygon_area(vertices).hex()
 
 
 class TestTinyDisjointFootprints:
-    """Disjoint sub-millimetre footprints score 0. The clip's on-edge
-    tolerance used to be an absolute cross product, about 1e-9 / (edge
-    length) m away from a clip edge: these pairs then scored 1.0 and
-    0.00015 (the latter in the oracle only)."""
+    """Disjoint sub-millimetre footprints score 0, as +0.0. The clip's
+    on-edge tolerance used to be an absolute cross product, about 1e-9 /
+    (edge length) m away from a clip edge: the first two pairs then scored
+    1.0 and 0.00015 (the latter in the oracle only). The third pair's
+    footprints lie 15.7 um apart with nearly parallel edges; before the
+    clip clamped each new vertex to its subject edge, it scored an area of
+    1.9e-14 one way round (9.49e-6 IoU in the oracle) and 0.0 the other."""
 
     @pytest.mark.parametrize("a, b", [
         pytest.param(
@@ -493,11 +514,17 @@ class TestTinyDisjointFootprints:
             _box(-0.00035069903110315895, 0.0, 0.0002794690851981389,
                  (1.0, 0.00020992996522436452, 0.0004400562056860567), 0.0),
             id="sub-mm-near-touching"),
+        pytest.param(
+            _box(0.0, 0.0, 0.0, (1.0, 1e-5, 1e-4), 0.0),
+            _box(0.00011568101344381138, 0.0, 0.0, (1.0, 1e-5, 1e-4), 1.5182257232602467e-05),
+            id="near-parallel-edges"),
     ])
     def test_scores_zero(self, a, b):
+        zero = (0.0).hex()
         for p, q in ((a, b), (b, a)):
-            assert iou_bev(p, q) == ref_iou_bev(p, q) == 0.0
-            assert iou_3d(p, q) == ref_iou_3d(p, q) == 0.0
+            assert polygon_intersection_area(bev_corners(p), bev_corners(q)).hex() == zero
+            assert iou_bev(p, q).hex() == ref_iou_bev(p, q).hex() == zero
+            assert iou_3d(p, q).hex() == ref_iou_3d(p, q).hex() == zero
 
 
 class TestZeroOverlapShortcut:
@@ -523,6 +550,25 @@ class TestZeroOverlapShortcut:
         a = make_box(h=1.5)
         b = make_box(h=1.5, y=-1.5, yaw=0.3)
         assert iou_3d(a, b) == 0.0 and iou_3d(b, a) == 0.0
+
+    @staticmethod
+    def assert_untouched(*boxes):
+        for box in boxes:
+            assert "corners" not in vars(box)
+            assert box._overlaps == {}
+
+    def test_apart_circumcircles_build_nothing(self):
+        a = make_box(yaw=0.4)
+        b = make_box(x=4.3, yaw=-0.4)
+        for p, q in ((a, b), (b, a)):
+            assert iou_bev(p, q) == 0.0 and iou_3d(p, q) == 0.0
+        self.assert_untouched(a, b)
+
+    def test_vertically_disjoint_memoises_nothing(self):
+        a = make_box(yaw=0.4)
+        b = make_box(x=0.5, y=-1.5, yaw=-0.4)
+        assert iou_3d(a, b) == 0.0 and iou_3d(b, a) == 0.0
+        self.assert_untouched(a, b)
 
 
 class TestOverlapMemo:
