@@ -171,10 +171,9 @@ def _clip_area(poly: list, clip: list) -> float:
 
 
 def _circles_apart(a: Box3D, b: Box3D) -> bool:
-    """Whether the footprints' circumscribed circles lie farther apart than
-    _PREFILTER_GAP, which exceeds the clip's on-edge tolerance: clipping then
-    keeps no vertex and returns 0.0 as well. Both IoUs test degenerate areas,
-    then this, then (iou_3d) the vertical overlap, then the memoised clip."""
+    """Whether the footprints' circumscribed circles lie more than _PREFILTER_GAP
+    apart (over the clip's on-edge tolerance, so the clip would give 0.0 too).
+    The IoUs run it after the degenerate-area test, before all other work."""
     reach = 0.5 * (a.bev_diagonal + b.bev_diagonal) + _PREFILTER_GAP
     dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
     return dx * dx + dz * dz > reach * reach
