@@ -41,7 +41,7 @@ DEFAULTS = {
     "beta": 1.0,
     "iou_kind": "bev",
 }
-# Keys a config file may set: the ones resolve() reads.
+# Keys a config file may set; main casts each to its default's type (str if none).
 CONFIG_KEYS = frozenset(DEFAULTS) | {"latency_trace"}
 
 
@@ -60,17 +60,6 @@ def read_config_file(path: str) -> Dict[str, str]:
                 raise ParseError("config line %d: unknown key %r" % (lineno, key))
             cfg[key] = value.strip()
     return cfg
-
-
-def resolve(args: argparse.Namespace, key: str, cast=str):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cast(cfg[key])
-    return DEFAULTS.get(key)
 
 
 def _load_label_map(path: str) -> Dict[int, List[LabeledBox]]:
@@ -103,14 +92,14 @@ def _boxes_to_preds(boxes: List[LabeledBox], class_ids: Dict[str, int]) -> List[
 def _parse_classes(args) -> Tuple[List[str], Dict[str, int]]:
     """Class names in order and their ids; a name given twice keeps the
     index of its last position, as metrics.cell_records numbers it."""
-    classes = [c.strip() for c in str(resolve(args, "classes")).split(",") if c.strip()]
+    classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not classes:
         raise ParseError("--classes names no class")
     return classes, {name: i for i, name in enumerate(classes)}
 
 
 def _parse_thresholds(args) -> List[float]:
-    thresholds = [float(v) for v in str(resolve(args, "iou")).split(",") if v]
+    thresholds = [float(v) for v in args.iou.split(",") if v]
     if not thresholds:
         raise ParseError("--iou names no threshold")
     for thr in thresholds:
@@ -145,14 +134,13 @@ def _label_options(args) -> _LabelOptions:
     stream = {"interval_ms": DEFAULTS["interval_ms"], "latency": 0.0, "skip_stale": False}
     trace = None
     if args.mode != "offline":
-        trace_path = resolve(args, "latency_trace")
-        if trace_path:
-            with open(trace_path) as f:
+        if args.latency_trace:
+            with open(args.latency_trace) as f:
                 trace = [float(line) for line in f if line.strip()]
         stream = dict(
-            interval_ms=resolve(args, "interval_ms", float),
-            latency="trace" if trace_path else resolve(args, "latency_ms", float),
-            skip_stale=bool(args.skip_stale),
+            interval_ms=args.interval_ms,
+            latency="trace" if args.latency_trace else args.latency_ms,
+            skip_stale=args.skip_stale,
         )
         config.update(stream)
     return _LabelOptions(classes, class_ids, thresholds, config, stream, trace)
@@ -312,14 +300,12 @@ def cmd_streamer(args) -> int:
 def cmd_flow(args) -> int:
     f_t = grid_ops.read_fgrd(args.current)
     f_tm1 = grid_ops.read_fgrd(args.previous)
-    d = int(resolve(args, "d", int))
-    rd = int(resolve(args, "rd", int))
-    flow = feature_flow.compute_flow(f_t, f_tm1, d=d, r_d=rd)
+    flow = feature_flow.compute_flow(f_t, f_tm1, d=args.d, r_d=args.rd)
     pseudo = feature_flow.warp_pseudo_next(f_t, flow)
     grid_ops.write_fgrd(args.output + "_flow.fgrd", flow)
     grid_ops.write_fgrd(args.output + "_pseudo.fgrd", pseudo)
     summary = {
-        "config": {"d": d, "rd": rd, "current": args.current, "previous": args.previous},
+        "config": {"d": args.d, "rd": args.rd, "current": args.current, "previous": args.previous},
         "flow_shape": list(flow.shape),
         "flow_mean": [float(flow[:, :, 0].mean()), float(flow[:, :, 1].mean())],
         "flow_max_abs": float(np.abs(flow).max()),
@@ -345,14 +331,11 @@ def cmd_mcl(args) -> int:
     gts_t = flat_boxes(args.gt_t)
     gts_tm1 = flat_boxes(args.gt_tm1)
     gts_tm2 = flat_boxes(args.gt_tm2)
-    tau = float(resolve(args, "tau", float))
-    beta = float(resolve(args, "beta", float))
-    iou_kind = str(resolve(args, "iou_kind"))
     per_object, mean = batch_mcl(
-        preds, gts_t, gts_tm1, gts_tm2, tau=tau, beta=beta, iou_kind=iou_kind
+        preds, gts_t, gts_tm1, gts_tm2, tau=args.tau, beta=args.beta, iou_kind=args.iou_kind
     )
     payload = {
-        "config": {"tau": tau, "beta": beta, "iou_kind": iou_kind},
+        "config": {"tau": args.tau, "beta": args.beta, "iou_kind": args.iou_kind},
         "objects": per_object,
         "mean_mcl": mean,
         "n_objects": len(per_object),
@@ -448,18 +431,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args._config = read_config_file(args.config) if args.config else {}
+        cfg = read_config_file(args.config) if args.config else {}
+        # Flag > config file > default, once per option of the command; sorted, so
+        # the first bad value named does not depend on the hash seed.
+        for key in sorted(CONFIG_KEYS & vars(args).keys()):
+            if getattr(args, key) is None and key in cfg:
+                try:
+                    setattr(args, key, type(DEFAULTS.get(key, ""))(cfg[key]))
+                except ValueError as exc:
+                    raise ParseError("config key %r: %s" % (key, exc)) from exc
+            elif getattr(args, key) is None:
+                setattr(args, key, DEFAULTS.get(key))
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
-        print("data error: %s" % exc, file=sys.stderr)
-        return 3
+    # LinAlgError is a ValueError, so the numerical clause comes first.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print("numerical error: %s" % exc, file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -24,6 +24,8 @@ def as_grid(data) -> np.ndarray:
     g = np.asarray(data, dtype=float)
     if g.ndim != 3:
         raise ValueError("grid must have shape (H, W, C), got %r" % (g.shape,))
+    if 0 in g.shape:
+        raise ValueError("grid has a zero-length axis: %r" % (g.shape,))
     if not np.all(np.isfinite(g)):
         raise ValueError("grid entries must be finite")
     return g
@@ -133,13 +135,9 @@ def _tap_product(x: np.ndarray, w_tap: np.ndarray, groups: int) -> np.ndarray:
     """One kernel tap, all output channels: (..., in) by (out, in/groups) -> (..., out).
 
     Bit-identical to one matrix-vector product per output channel; a batched
-    gemm or einsum is not, as it sums in another order. With one input channel
-    per group the product is a single multiply, done as one broadcast.
+    gemm or einsum is not, as it sums in another order.
     """
     out_c, in_per_group = w_tap.shape
-    if in_per_group == 1:
-        prod = x[..., None] * w_tap[:, 0].reshape(groups, -1)
-        return prod.reshape(x.shape[:-1] + (out_c,))
     starts = np.arange(out_c) // (out_c // groups) * in_per_group
     return np.stack([x[..., i : i + in_per_group] @ w for i, w in zip(starts, w_tap)], axis=-1)
 

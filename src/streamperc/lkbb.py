@@ -66,6 +66,8 @@ def receptive_field(chain: Sequence[LayerSpec]) -> Tuple[int, float]:
 def complexity(chain: Sequence[LayerSpec], input_hw: Tuple[int, int]) -> ComplexityReport:
     """Parameter and FLOP totals for a chain applied to input_hw."""
     h, w = input_hw
+    if min(h, w) < 1:
+        raise ValueError("input height and width must be >= 1, got %r" % (input_hw,))
     params = 0
     flops = 0
     for layer in chain:

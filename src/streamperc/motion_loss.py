@@ -24,8 +24,8 @@ DEFAULT_LAMBDA = 0.5
 
 def smooth_l1(x: float, beta: float = 1.0) -> Tuple[float, float]:
     """Smooth L1 value and derivative at x."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be finite and > 0, got %r" % beta)
     ax = abs(x)
     if ax < beta:
         return 0.5 * x * x / beta, x / beta
@@ -87,8 +87,8 @@ def mcl(
     gt_tm2 may be None for young tracks; the acceleration term is then
     skipped.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0, got %r" % tau)
     ids = {gt_t.track_id, gt_tm1.track_id} | ({gt_tm2.track_id} if gt_tm2 is not None else set())
     if len(ids) != 1 or None in ids:
         raise ValueError("ground-truth chain must share one track_id")
@@ -134,8 +134,13 @@ def batch_mcl(
     Predictions are matched to current-frame ground truth by IoU argmax;
     ground-truth chains are linked by track id. Objects with no current
     match or no t-1 history are skipped; objects without t-2 history lose
-    only the acceleration term.
+    only the acceleration term. tau, beta and iou_kind are checked first,
+    so a bad value fails even when no prediction matches.
     """
+    if not 0.0 <= tau < math.inf or not 0.0 < beta < math.inf:
+        raise ValueError("need finite tau >= 0 and beta > 0, got %r and %r" % (tau, beta))
+    if iou_kind not in ("bev", "3d"):
+        raise ValueError("iou_kind must be 'bev' or '3d', got %r" % iou_kind)
     by_id_tm1 = {g.track_id: g for g in gts_tm1 if g.track_id is not None}
     by_id_tm2 = {g.track_id: g for g in gts_tm2 if g.track_id is not None}
     per_object = []

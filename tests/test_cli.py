@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamperc import cli, geometry, streaming_sim
+from streamperc import cli, feature_flow, geometry, streaming_sim
 from streamperc.grid_ops import read_fgrd, write_fgrd
 from streamperc.kitti_io import format_tracking_labels
 
@@ -367,21 +367,26 @@ class TestFlow:
         assert summary["flow_shape"] == [16, 16, 2]
         assert "flow_max_abs" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("raw", [
-        pytest.param(b"FGRD\x01\x00\x00", id="truncated-header"),
+    @pytest.mark.parametrize("raw, message", [
+        pytest.param(b"FGRD\x01\x00\x00", "truncated FGRD", id="truncated-header"),
         pytest.param(b"FGRD" + struct.pack("<4I", 1, 8, 8, 4) + b"\x00" * 40,
-                     id="header-claims-more-data"),
+                     "truncated FGRD", id="header-claims-more-data"),
         pytest.param(b"FGRD" + struct.pack("<4I", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1),
-                     id="header-claims-beyond-any-file"),
+                     "truncated FGRD", id="header-claims-beyond-any-file"),
+        pytest.param(b"FGRD" + struct.pack("<4I", 1, 0, 0, 0), "zero-length axis",
+                     id="header-0x0x0"),
+        pytest.param(b"FGRD" + struct.pack("<4I", 1, 4, 4, 0), "zero-length axis",
+                     id="header-4x4x0"),
     ])
-    def test_corrupt_grid_is_data_error(self, tmp_path, capsys, raw):
+    def test_corrupt_grid_is_data_error(self, tmp_path, capsys, raw, message):
         write_fgrd(str(tmp_path / "cur.fgrd"), textured_grid(8, 8, 4))
         (tmp_path / "bad.fgrd").write_bytes(raw)
         rc = cli.main(["flow", "--current", str(tmp_path / "cur.fgrd"),
                        "--previous", str(tmp_path / "bad.fgrd"),
                        "--output", str(tmp_path / "o")])
         assert rc == 3
-        assert "truncated FGRD" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("o*"))
 
     def test_missing_input_is_data_error(self, tmp_path):
         write_fgrd(str(tmp_path / "cur.fgrd"), textured_grid(8, 8, 2))
@@ -407,6 +412,25 @@ class TestMcl:
         assert payload["config"]["tau"] == pytest.approx(0.8)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("line", ["tau = -1", "tau = nan", "beta = 0", "beta = inf",
+                                      "iou_kind = xyz"])
+    def test_bad_option_is_data_error_with_no_match(self, tmp_path, capsys, line):
+        # the prediction lies 50 m from every ground truth, so no object is
+        # scored; the options are still checked
+        far = {0: [make_gt(track_id=0, x=50.0, z=10.0, score=0.9)]}
+        paths = [write_labels(tmp_path / "pred.txt", far)] + [
+            write_labels(tmp_path / (name + ".txt"), simple_world(1))
+            for name in ("gt_t", "gt_tm1", "gt_tm2")]
+        argv = ["mcl"] + [v for pair in zip(["--pred", "--gt-t", "--gt-tm1", "--gt-tm2"],
+                                            paths) for v in pair]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n_objects"] == 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert cli.main(["--config", str(cfg)] + argv) == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and captured.out == ""
+
 
 class TestLkbb:
     def test_attention_chain_report(self, tmp_path, capsys):
@@ -428,6 +452,15 @@ class TestLkbb:
             chain.write_text(line + "\n")
             assert cli.main(["lkbb", "--chain", str(chain)]) == 3, line
             assert "data error" in capsys.readouterr().err, line
+
+    @pytest.mark.parametrize("height, width", [(0, 10), (10, 0), (-5, 10), (10, -5)])
+    def test_input_side_below_one_is_data_error(self, tmp_path, capsys, height, width):
+        chain = tmp_path / "chain.txt"
+        chain.write_text("conv 3 1 1 8\n")
+        assert cli.main(["lkbb", "--chain", str(chain),
+                         "--height", str(height), "--width", str(width)]) == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and captured.out == ""
 
 
 class TestFootprintCache:
@@ -504,6 +537,27 @@ class TestConfigPrecedence:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["config"]["iou_thresholds"] == [0.7]
 
+    @pytest.mark.parametrize("command, line, owner, name, key, cast", [
+        ("flow", "d = 2", feature_flow, "compute_flow", "d", int),
+        ("mcl", "tau = 0.5", cli, "batch_mcl", "tau", float),
+    ])
+    def test_config_value_reaches_library_typed(self, tmp_path, monkeypatch, capsys,
+                                                command, line, owner, name, key, cast):
+        orig = getattr(owner, name)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs[key])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert cli.main(["--config", str(cfg)] + command_argv(tmp_path, command)) == 0
+        capsys.readouterr()
+        assert seen == [cast(line.split("=")[1])]
+        assert type(seen[0]) is cast
+
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         rc = cli.main(["--config", str(tmp_path / "nope.cfg"), "lkbb",
                        "--chain", str(tmp_path / "nope.txt")])
@@ -550,6 +604,9 @@ def command_argv(tmp_path, command):
                  for name in ("pred", "gt_t", "gt_tm1", "gt_tm2")]
         flags = ["--pred", "--gt-t", "--gt-tm1", "--gt-tm2"]
         return ["mcl"] + [v for pair in zip(flags, paths) for v in pair]
+    if command == "lkbb":
+        (tmp_path / "chain.txt").write_text("conv 3 1 1 8\n")
+        return ["lkbb", "--chain", str(tmp_path / "chain.txt")]
     gt = write_labels(tmp_path / "gt.txt", simple_world(3))
     det = write_labels(tmp_path / "det.txt", simple_world(3, score=0.9))
     return [command, "--gt", gt, "--det", det, "--output", str(tmp_path / "r")]
@@ -566,6 +623,8 @@ class TestConfigValueErrors:
         ("tau = x", "mcl"),
         ("beta = x", "mcl"),
         ("iou_kind = xyz", "mcl"),
+        ("tau = nan", "mcl"),
+        ("beta = inf", "mcl"),
         ("latency_ms 150", "stream-eval"),
     ])
     def test_bad_value_is_data_error(self, tmp_path, capsys, line, command):
@@ -576,6 +635,45 @@ class TestConfigValueErrors:
         cfg.write_text(line.format(tmp=tmp_path) + "\n")
         assert cli.main(["--config", str(cfg)] + argv) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, command, first, second", [
+        ("tau = x\nbeta = y\n", "mcl", "beta", "tau"),
+        ("rd = two\nd = one\n", "flow", "d", "rd"),
+        ("latency_ms = x\niou = y\ninterval_ms = z\n", "stream-eval", "interval_ms", "iou"),
+    ])
+    def test_first_bad_key_in_sorted_order_is_reported(self, tmp_path, capsys, text,
+                                                       command, first, second):
+        argv = command_argv(tmp_path, command)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert cli.main(["--config", str(cfg)] + argv) == 3
+        err = capsys.readouterr().err
+        assert "config key %r" % first in err and repr(second) not in err
+
+
+class TestPathThroughFile:
+    """A path that runs through a regular file cannot be opened or written:
+    the command exits 3 and writes nothing."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--output"), ("eval", "--det"),
+        ("stream-eval", "--output"), ("stream-eval", "--gt"),
+        ("streamer", "--output"), ("streamer", "--det"),
+        ("flow", "--output"), ("flow", "--current"),
+        ("mcl", "--output"), ("mcl", "--pred"),
+        ("lkbb", "--chain"),
+    ])
+    def test_is_data_error(self, tmp_path, capsys, command, flag):
+        argv = command_argv(tmp_path, command)
+        if flag not in argv:
+            argv += [flag, "unused"]
+        (tmp_path / "plain.txt").write_text("")
+        argv[argv.index(flag) + 1] = str(tmp_path / "plain.txt" / "r")
+        before = set(tmp_path.iterdir())
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and captured.out == ""
+        assert set(tmp_path.iterdir()) == before
 
 
 class TestBadLabels:

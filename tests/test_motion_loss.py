@@ -265,3 +265,13 @@ class TestBatchMcl:
         per_object, mean = batch_mcl(gt_t, gt_t, [], [])
         assert per_object == []
         assert mean == 0.0
+
+    @pytest.mark.parametrize("opts", [
+        dict(tau=float("nan")), dict(tau=math.inf), dict(tau=-1.0),
+        dict(beta=float("nan")), dict(beta=math.inf), dict(beta=0.0),
+        dict(iou_kind="xyz"),
+    ])
+    def test_bad_option_rejected_with_no_match(self, opts):
+        # checked at entry: no object reaches mcl or smooth_l1 here
+        with pytest.raises(ValueError):
+            batch_mcl([], [], [], [], **opts)
