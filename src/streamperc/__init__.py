@@ -8,7 +8,7 @@ from .grid_ops import ConvSpec, bilinear_resize, bilinear_sample, conv2d, max_po
 from .feature_flow import compute_flow, fuse, shift_set, similarity_volume, argmax_flow, warp_pseudo_next
 from .motion_loss import mcl, offset_loss, pose_offset, smooth_l1, total_loss
 from .forecast import StreamerTracker, TrackState, forecast_boxes, kf_predict, kf_update, streamer_step
-from .streaming_sim import StreamSchedule, build_schedule, latest_output_at, pair_stream
+from .streaming_sim import StreamSchedule, build_schedule, pair_stream
 from .metrics import Difficulty, ap_r40, difficulty_of, evaluate_pairs, match_frame
 from .lkbb import ComplexityReport, LayerSpec, complexity, lka_forward, lkbb_fuse, receptive_field
 

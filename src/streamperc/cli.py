@@ -4,13 +4,17 @@ forecasting baseline, feature flow, motion loss and backbone accounting.
 Option precedence is flags > config file > built-in defaults; the config
 file is flat ``key = value`` text keyed by the long option names (dashes
 or underscores). Exit codes: 0 ok, 2 usage, 3 data error, 4 numerical
-error.
+error. Each command returns its files ({path: bytes}) and its stdout text;
+main writes the files all or none, then prints the text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
+import io
 import json
 import os
 import sys
@@ -146,58 +150,52 @@ def _label_options(args) -> _LabelOptions:
     return _LabelOptions(classes, class_ids, thresholds, config, stream, trace)
 
 
-def _write_ap_report(args, opts: _LabelOptions, pairs, missing_frames, pr_dump=True) -> None:
-    """Evaluate the pairs; write the AP table and the missing frames as
-    .json, the table as .csv, print it, and unless pr_dump is False write
-    the precision-recall curves as _pr.dat (gnuplot blocks of recall
-    precision score)."""
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _ap_report(args, opts: _LabelOptions, pairs, missing_frames, pr_dump=True):
+    """Evaluate the pairs. Return the files (the AP table and the missing
+    frames as .json, the table as .csv and, unless pr_dump is False, the
+    precision-recall curves as _pr.dat: gnuplot blocks of recall precision
+    score) and the table as stdout text."""
     cells = metrics.evaluate_pairs(pairs, opts.classes, opts.thresholds)
     payload = {
         "config": opts.config,
         "results": [
-            {
-                "class": c.class_name,
-                "kind": c.iou_kind,
-                "iou": c.iou_threshold,
-                "level": c.level,
-                "ap": c.ap,
-            }
+            {"class": c.class_name, "kind": c.iou_kind, "iou": c.iou_threshold,
+             "level": c.level, "ap": c.ap}
             for c in cells
         ],
         "missing_frames": missing_frames,
     }
-    with open(args.output + ".json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(args.output + ".csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["class", "kind", "iou", "level", "ap"])
-        for c in cells:
-            writer.writerow(
-                [
-                    c.class_name,
-                    c.iou_kind,
-                    "%.2f" % c.iou_threshold,
-                    c.level,
-                    "" if c.ap is None else "%.6f" % c.ap,
-                ]
-            )
-    for c in cells:
-        ap = "absent" if c.ap is None else "%.4f" % c.ap
-        print(
-            "%-10s %-3s iou=%.2f %-8s AP=%s"
-            % (c.class_name, c.iou_kind, c.iou_threshold, c.level, ap)
-        )
-    if not pr_dump:
-        return
-    with open(args.output + "_pr.dat", "w") as f:
+    table = io.StringIO()
+    csv.writer(table).writerows(
+        [("class", "kind", "iou", "level", "ap")]
+        + [(c.class_name, c.iou_kind, "%.2f" % c.iou_threshold, c.level,
+            "" if c.ap is None else "%.6f" % c.ap) for c in cells]
+    )
+    files = {
+        args.output + ".json": _json_text(payload).encode(),
+        args.output + ".csv": table.getvalue().encode(),
+    }
+    if pr_dump:
+        lines = []
         for cls_name, kind, thr, level, records, n_gt in metrics.cell_records(
             pairs, opts.classes, opts.thresholds
         ):
-            f.write("# %s %s iou=%.2f %s\n" % (cls_name, kind, thr, level.name.lower()))
+            lines.append("# %s %s iou=%.2f %s\n" % (cls_name, kind, thr, level.name.lower()))
             for score, prec, rec in metrics.pr_curve(records, n_gt):
-                f.write("%.6f %.6f %.6f\n" % (rec, prec, score))
-            f.write("\n\n")
+                lines.append("%.6f %.6f %.6f\n" % (rec, prec, score))
+            lines.append("\n\n")
+        files[args.output + "_pr.dat"] = "".join(lines).encode()
+    stdout = "".join(
+        "%-10s %-3s iou=%.2f %-8s AP=%s\n"
+        % (c.class_name, c.iou_kind, c.iou_threshold, c.level,
+           "absent" if c.ap is None else "%.4f" % c.ap)
+        for c in cells
+    )
+    return files, stdout
 
 
 def _stream_sequences(args, opts: _LabelOptions):
@@ -232,7 +230,7 @@ def _stream_sequences(args, opts: _LabelOptions):
         yield schedule, outputs, gts, missing
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     """eval and stream-eval: pair each ground-truth instant with the latest
     finished output; eval's schedule has zero latency."""
     opts = _label_options(args)
@@ -240,11 +238,10 @@ def cmd_eval(args) -> int:
     for schedule, outputs, gts, missing in _stream_sequences(args, opts):
         pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
         missing_frames.extend(missing)
-    _write_ap_report(args, opts, pairs, missing_frames)
-    return 0
+    return _ap_report(args, opts, pairs, missing_frames)
 
 
-def cmd_streamer(args) -> int:
+def cmd_streamer(args):
     opts = _label_options(args)
     all_pairs, dump_lines, missing_frames = [], [], []
     for schedule, det_boxes, gts, missing in _stream_sequences(args, opts):
@@ -253,16 +250,11 @@ def cmd_streamer(args) -> int:
         last_world_ms = None
         for j, t_query, finished in streaming_sim.finished_by_instant(schedule):
             for ev in finished:
-                dt_ms = (
-                    ev.arrival_ms - last_world_ms
-                    if last_world_ms is not None
-                    else schedule.frame_interval_ms
-                )
+                dt_ms = (schedule.frame_interval_ms if last_world_ms is None
+                         else ev.arrival_ms - last_world_ms)
                 frame_dets = det_boxes.get(ev.frame, [])
                 for cid, tracker in trackers.items():
-                    tracker.step(
-                        [b for b in frame_dets if b.class_id == cid], dt_ms / 1000.0
-                    )
+                    tracker.step([b for b in frame_dets if b.class_id == cid], dt_ms / 1000.0)
                 last_world_ms = ev.arrival_ms
             if last_world_ms is None:
                 all_pairs.append(([], gts.get(j, [])))
@@ -272,65 +264,43 @@ def cmd_streamer(args) -> int:
             for tracker in trackers.values():
                 preds.extend(tracker.forecast(dt))
             all_pairs.append((preds, gts.get(j, [])))
-            for p in preds:
-                x, y, z = p.center
-                h, w, l = p.dims
-                dump_lines.append(
-                    "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f"
-                    % (
-                        j,
-                        p.track_id,
-                        opts.classes[p.class_id],
-                        h,
-                        w,
-                        l,
-                        x,
-                        y,
-                        z,
-                        p.yaw,
-                        p.score,
-                    )
-                )
-    with open(args.output + "_forecasts.txt", "w") as f:
-        f.write("\n".join(dump_lines) + ("\n" if dump_lines else ""))
-    _write_ap_report(args, opts, all_pairs, missing_frames, pr_dump=False)
-    return 0
+            dump_lines.extend(
+                "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f\n"
+                % (j, p.track_id, opts.classes[p.class_id], *p.dims, *p.center, p.yaw, p.score)
+                for p in preds
+            )
+    files, stdout = _ap_report(args, opts, all_pairs, missing_frames, pr_dump=False)
+    return {args.output + "_forecasts.txt": "".join(dump_lines).encode(), **files}, stdout
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args):
     f_t = grid_ops.read_fgrd(args.current)
     f_tm1 = grid_ops.read_fgrd(args.previous)
     flow = feature_flow.compute_flow(f_t, f_tm1, d=args.d, r_d=args.rd)
     pseudo = feature_flow.warp_pseudo_next(f_t, flow)
-    grid_ops.write_fgrd(args.output + "_flow.fgrd", flow)
-    grid_ops.write_fgrd(args.output + "_pseudo.fgrd", pseudo)
     summary = {
         "config": {"d": args.d, "rd": args.rd, "current": args.current, "previous": args.previous},
         "flow_shape": list(flow.shape),
         "flow_mean": [float(flow[:, :, 0].mean()), float(flow[:, :, 1].mean())],
         "flow_max_abs": float(np.abs(flow).max()),
     }
-    with open(args.output + ".json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    files = {
+        args.output + "_flow.fgrd": grid_ops.fgrd_bytes(flow),
+        args.output + "_pseudo.fgrd": grid_ops.fgrd_bytes(pseudo),
+        args.output + ".json": _json_text(summary).encode(),
+    }
+    return files, json.dumps(summary, sort_keys=True) + "\n"
 
 
-def cmd_mcl(args) -> int:
+def cmd_mcl(args):
     _, class_ids = _parse_classes(args)
 
     def flat_boxes(path):
         frames = _load_label_map(path)
-        boxes = []
-        for frame in sorted(frames):
-            boxes.extend(_boxes_to_preds(frames[frame], class_ids))
-        return boxes
+        return [b for k in sorted(frames) for b in _boxes_to_preds(frames[k], class_ids)]
 
-    preds = flat_boxes(args.pred)
-    gts_t = flat_boxes(args.gt_t)
-    gts_tm1 = flat_boxes(args.gt_tm1)
-    gts_tm2 = flat_boxes(args.gt_tm2)
+    paths = (args.pred, args.gt_t, args.gt_tm1, args.gt_tm2)
+    preds, gts_t, gts_tm1, gts_tm2 = map(flat_boxes, paths)
     per_object, mean = batch_mcl(
         preds, gts_t, gts_tm1, gts_tm2, tau=args.tau, beta=args.beta, iou_kind=args.iou_kind
     )
@@ -340,15 +310,11 @@ def cmd_mcl(args) -> int:
         "mean_mcl": mean,
         "n_objects": len(per_object),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-    print(text)
-    return 0
+    text = _json_text(payload)
+    return ({args.output: text.encode()} if args.output else {}), text
 
 
-def cmd_lkbb(args) -> int:
+def cmd_lkbb(args):
     with open(args.chain) as f:
         chain = lkbb.parse_chain(f.read())
     report = lkbb.complexity(chain, (args.height, args.width))
@@ -359,8 +325,7 @@ def cmd_lkbb(args) -> int:
         "receptive_field": report.rf,
         "jump": report.jump,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return {}, _json_text(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,6 +395,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _publish(files: Dict[str, bytes]) -> None:
+    """Write all of the files or none: check that no destination is a
+    directory, write each file to a temporary file beside it, then rename
+    them over the destinations in order. On failure, remove the temporary
+    files and re-raise."""
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    temps = []
+    try:
+        for path, data in files.items():
+            tmp = "%s.%d.tmp" % (path, os.getpid())
+            with open(tmp, "xb") as f:  # created with open(path, "w")'s mode
+                temps.append(tmp)
+                f.write(data)
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(OSError):  # already renamed
+                os.remove(tmp)
+        raise
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -444,7 +433,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     raise ParseError("config key %r: %s" % (key, exc)) from exc
             elif getattr(args, key) is None:
                 setattr(args, key, DEFAULTS.get(key))
-        return args.func(args)
+        files, stdout = args.func(args)
+        _publish(files)
+        sys.stdout.write(stdout)
+        return 0
     # LinAlgError is a ValueError, so the numerical clause comes first.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print("numerical error: %s" % exc, file=sys.stderr)

@@ -214,14 +214,15 @@ def transpose_conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return out
 
 
-def write_fgrd(path, g: np.ndarray) -> None:
-    """Write a grid in the flat FGRD binary format (little-endian float32)."""
+def fgrd_bytes(g: np.ndarray) -> bytes:
+    """A grid in the flat FGRD binary format (little-endian float32)."""
     g = as_grid(g)
-    h, w, c = g.shape
+    return FGRD_MAGIC + struct.pack("<4I", FGRD_VERSION, *g.shape) + g.astype("<f4").tobytes()
+
+
+def write_fgrd(path, g: np.ndarray) -> None:
     with open(path, "wb") as f:
-        f.write(FGRD_MAGIC)
-        f.write(struct.pack("<4I", FGRD_VERSION, h, w, c))
-        f.write(g.astype("<f4").tobytes())
+        f.write(fgrd_bytes(g))
 
 
 def read_fgrd(path) -> np.ndarray:

@@ -14,21 +14,31 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
+_NS_PER_MS = 1_000_000
+
+
+def _ns(ms: float) -> int:
+    """A time in ms as whole nanoseconds, the schedule's resolution."""
+    return round(ms * _NS_PER_MS)
+
+
 @dataclass
 class FrameEvent:
     frame: int
     arrival_ms: float
     start_ms: Optional[float]  # None when the frame was skipped
     finish_ms: Optional[float]
+    finish_ns: Optional[int]  # finish_ms in whole ns, which pairing compares
 
     @property
     def processed(self) -> bool:
-        return self.finish_ms is not None
+        return self.finish_ns is not None
 
 
 @dataclass
 class StreamSchedule:
     frame_interval_ms: float
+    interval_ns: int  # frame_interval_ms in whole ns, which pairing uses
     events: List[FrameEvent]
 
 
@@ -39,42 +49,36 @@ def build_schedule(
     skip_stale: bool = False,
 ) -> StreamSchedule:
     """Simulate single-worker FIFO processing of n_frames, frame k taking
-    latencies_ms[k]."""
+    latencies_ms[k]. Every time is rounded to whole nanoseconds on entry
+    and the simulation adds and compares integers."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if not (math.isfinite(interval_ms) and interval_ms > 0):
-        raise ValueError("interval_ms must be finite and > 0")
+    if not (math.isfinite(interval_ms * _NS_PER_MS) and _ns(interval_ms) > 0):
+        raise ValueError("interval_ms must be finite and at least 1 ns")
     if len(latencies_ms) != n_frames:
         raise ValueError("latency count must equal the frame count")
-    if not all(math.isfinite(v) and v >= 0 for v in latencies_ms):
+    if not all(math.isfinite(v * _NS_PER_MS) and v >= 0 for v in latencies_ms):
         raise ValueError("latencies must be finite and >= 0")
+    interval = _ns(interval_ms)
     events = []
-    available = 0.0
-    for k in range(n_frames):
-        arrival = k * interval_ms
+    available = 0
+    for k, latency in enumerate(latencies_ms):
+        arrival = k * interval
         if skip_stale and arrival < available:
-            events.append(FrameEvent(k, arrival, None, None))
+            events.append(FrameEvent(k, arrival / _NS_PER_MS, None, None, None))
             continue
         start = max(arrival, available)
-        finish = start + latencies_ms[k]
-        available = finish
-        events.append(FrameEvent(k, arrival, start, finish))
-    return StreamSchedule(frame_interval_ms=interval_ms, events=events)
-
-
-def latest_output_at(s: StreamSchedule, t_query_ms: float) -> Optional[int]:
-    """Largest processed frame index whose finish time is <= t_query."""
-    best = None
-    for ev in s.events:
-        if ev.processed and ev.finish_ms <= t_query_ms:
-            best = ev.frame
-    return best
+        available = start + _ns(latency)
+        events.append(FrameEvent(
+            k, arrival / _NS_PER_MS, start / _NS_PER_MS, available / _NS_PER_MS, available
+        ))
+    return StreamSchedule(interval / _NS_PER_MS, interval, events)
 
 
 def finished_by_instant(
     s: StreamSchedule,
 ) -> Iterator[Tuple[int, float, List[FrameEvent]]]:
-    """Yield (j, t_j, processed frames finishing in (t_{j-1}, t_j]) per instant.
+    """Yield (j, t_j in ms, processed frames finishing in (t_{j-1}, t_j]) per instant.
 
     Ground-truth instant j is t_j = j*interval for every frame of the
     schedule. One forward pointer suffices because finish times never
@@ -83,11 +87,11 @@ def finished_by_instant(
     processed = [ev for ev in s.events if ev.processed]
     i = 0
     for j in range(len(s.events)):
-        t_query = j * s.frame_interval_ms
+        t_query = j * s.interval_ns
         first = i
-        while i < len(processed) and processed[i].finish_ms <= t_query:
+        while i < len(processed) and processed[i].finish_ns <= t_query:
             i += 1
-        yield j, t_query, processed[first:i]
+        yield j, t_query / _NS_PER_MS, processed[first:i]
 
 
 def pair_stream(

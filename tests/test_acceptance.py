@@ -15,7 +15,7 @@ from streamperc.grid_ops import ConvSpec
 from streamperc.lkbb import LayerSpec, complexity, lka_chain, lkbb_fuse, receptive_field
 from streamperc.metrics import Difficulty, ap_r40, evaluate_pairs, match_frame
 from streamperc.motion_loss import mcl, offset_loss, pose_of, pose_offset
-from streamperc.streaming_sim import build_schedule, latest_output_at
+from streamperc.streaming_sim import build_schedule, pair_stream
 
 from conftest import make_box, make_gt, textured_grid, translate_grid
 
@@ -248,15 +248,16 @@ def test_criterion_4_ap_exhaustive():
 
 
 def test_criterion_5_stream_pairing():
-    s80 = build_schedule(20, 100.0, [80.0] * 20)
-    ok = all(latest_output_at(s80, 100.0 * j) == j - 1 for j in range(1, 20))
-    ok &= latest_output_at(s80, 0.0) is None
+    def paired(s):  # the output frame paired with each instant j, or None
+        pairs = pair_stream(s, {k: [k] for k in range(len(s.events))}, {})
+        return [preds[0] if preds else None for preds, _ in pairs]
+
+    ok = paired(build_schedule(20, 100.0, [80.0] * 20)) == [None] + list(range(19))
     # queueing at latency 150: finish(k) = 150(k+1), staleness grows
-    s150 = build_schedule(20, 100.0, [150.0] * 20)
+    got = paired(build_schedule(20, 100.0, [150.0] * 20))
     for j in range(20):
         expected = (100 * j) // 150 - 1
-        got = latest_output_at(s150, 100.0 * j)
-        ok &= got == (expected if expected >= 0 else None)
+        ok &= got[j] == (expected if expected >= 0 else None)
     report(5, "stream pairing: fast regime hits frame j-1, slow regime queues", ok)
 
 

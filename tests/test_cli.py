@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -806,3 +809,230 @@ class TestUsageErrors:
                        "--output", str(tmp_path / "r")])
         assert rc == 3
         capsys.readouterr()
+
+
+# The files each command publishes, in publication order, for the arguments
+# of publishing_argv.
+PUBLISHED = {
+    "eval": ["r.json", "r.csv", "r_pr.dat"],
+    "stream-eval": ["r.json", "r.csv", "r_pr.dat"],
+    "streamer": ["r_forecasts.txt", "r.json", "r.csv"],
+    "flow": ["o_flow.fgrd", "o_pseudo.fgrd", "o.json"],
+    "mcl": ["r.json"],
+}
+
+
+def publishing_argv(tmp_path, command):
+    argv = command_argv(tmp_path, command)
+    return argv + ["--output", str(tmp_path / "r.json")] if command == "mcl" else argv
+
+
+def snapshot(directory):
+    """Each entry of directory: its bytes, or None for a subdirectory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in directory.iterdir()}
+
+
+def fail_nth_temporary_write(monkeypatch, n):
+    """Make the write to the n-th (from 0) temporary file of cli fail with
+    ENOSPC after the file is created; return the temporary paths opened."""
+    real_open = open
+    opened = []
+
+    class FullDisk:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        if mode != "xb":
+            return f
+        opened.append(path)
+        return FullDisk(f) if len(opened) == n + 1 else f
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    return opened
+
+
+class TestPublishAllOrNone:
+    """main publishes a command's files all together or not at all."""
+
+    @pytest.mark.parametrize("command", sorted(PUBLISHED))
+    def test_publishes_these_files_in_order(self, tmp_path, capsys, monkeypatch, command):
+        argv = publishing_argv(tmp_path, command)
+        before = set(os.listdir(tmp_path))
+        renamed = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda a, b: renamed.append(b) or real_replace(a, b))
+        assert cli.main(argv) == 0
+        assert [os.path.basename(p) for p in renamed] == PUBLISHED[command]
+        assert set(os.listdir(tmp_path)) - before == set(PUBLISHED[command])
+        assert capsys.readouterr().out.endswith("\n")
+
+    @pytest.mark.parametrize("command, name",
+                             [(c, name) for c in sorted(PUBLISHED) for name in PUBLISHED[c]])
+    def test_directory_in_place_of_any_file(self, tmp_path, capsys, command, name):
+        argv = publishing_argv(tmp_path, command)
+        (tmp_path / name).mkdir()
+        before = snapshot(tmp_path)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and "Is a directory" in captured.err
+        assert captured.out == ""
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("command, n",
+                             [(c, n) for c in sorted(PUBLISHED) for n in range(len(PUBLISHED[c]))])
+    def test_failed_temporary_write_leaves_nothing(self, tmp_path, capsys, monkeypatch,
+                                                   command, n):
+        argv = publishing_argv(tmp_path, command)
+        before = snapshot(tmp_path)
+        opened = fail_nth_temporary_write(monkeypatch, n)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and "No space left" in captured.err
+        assert captured.out == ""
+        assert len(opened) == n + 1
+        assert snapshot(tmp_path) == before
+
+    def test_failed_run_leaves_earlier_report_untouched(self, tmp_path, capsys, monkeypatch):
+        argv = publishing_argv(tmp_path, "stream-eval")
+        assert cli.main(argv) == 0
+        before = snapshot(tmp_path)
+        fail_nth_temporary_write(monkeypatch, 2)
+        # a different latency changes every file, had the run been published
+        assert cli.main(argv + ["--latency-ms", "150"]) == 3
+        assert snapshot(tmp_path) == before
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", sorted(PUBLISHED))
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+    def test_mode_is_that_of_open(self, tmp_path, capsys, command, umask):
+        argv = publishing_argv(tmp_path, command)
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            assert cli.main(argv) == 0
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+        for name in PUBLISHED[command]:
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+        capsys.readouterr()
+
+
+_VALID_LINE = "0 0 Car 0 0 0 100 100 200 250 1.5 1.6 3.9 0 1.5 10 0"
+_TOKENS = ["0", "1", "-1", "2", "100", "1000000", "Car", "Pedestrian", "Van", "DontCare",
+           "0.5", "-0.5", "1.5", "1e-300", "1e300", "nan", "inf", "-inf", "x", "0x10", "1_0"]
+
+
+@st.composite
+def label_texts(draw):
+    """Label file text, line by line: a valid line kept, with a field
+    dropped, added or replaced by an odd token, or random tokens or text;
+    sometimes followed by bytes that are not UTF-8."""
+    tokens = st.sampled_from(_TOKENS)
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        fields = _VALID_LINE.split() + draw(st.sampled_from([[], ["0.9"]]))
+        i = draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(["keep", "drop", "add", "replace", "tokens", "text"]))
+        if edit == "drop":
+            del fields[i]
+        elif edit == "add":
+            fields.insert(i, draw(tokens))
+        elif edit == "replace":
+            fields[i] = draw(tokens)
+        elif edit == "tokens":
+            fields = draw(st.lists(tokens, max_size=19))
+        lines.append(draw(st.text(max_size=40)) if edit == "text" else " ".join(fields))
+    text = "\n".join(lines).encode("utf-8", "surrogatepass")
+    return text + draw(st.sampled_from([b"", b"\n", b"", b"\n", b"\xff"]))
+
+
+_CONFIG_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["", "Car", ",", "0.7,0.5", "bev", "3d", "nan", "missing.txt", "."]),
+    st.text(st.characters(blacklist_characters="/\n\r#=", blacklist_categories=("Cs",)),
+            max_size=12),
+)
+
+
+@st.composite
+def config_texts(draw):
+    keys = st.sampled_from(sorted(cli.CONFIG_KEYS) + ["latency-ms", "bogus"])
+    lines = draw(st.lists(st.tuples(keys, _CONFIG_VALUES), max_size=4))
+    return "".join("%s = %s\n" % kv for kv in lines) + draw(st.sampled_from(["", "novalue\n"]))
+
+
+@st.composite
+def fgrd_files(draw):
+    """FGRD bytes: random bytes, or a header of any version and small or
+    huge shape followed by a payload of random length."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    axis = st.one_of(st.integers(0, 9), st.just(2**32 - 1))
+    header = b"FGRD" + struct.pack("<4I", draw(st.integers(0, 2)), draw(axis), draw(axis),
+                                   draw(axis))
+    return header + draw(st.binary(max_size=4 * 9 * 9 * 4))
+
+
+def assert_exit_code(argv):
+    rc = cli.main(argv)
+    assert rc in (0, 3, 4), (rc, argv)
+
+
+class TestFuzzThroughMain:
+    """Malformed inputs end in exit 0, 3 or 4; no exception escapes main."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gt=label_texts(), det=label_texts())
+    def test_label_files(self, gt, det):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "gt.txt").write_bytes(gt)
+            (tmp / "det.txt").write_bytes(det)
+            files = ["--gt", str(tmp / "gt.txt"), "--det", str(tmp / "det.txt"),
+                     "--output", str(tmp / "r")]
+            assert_exit_code(["eval"] + files)
+            assert_exit_code(["stream-eval"] + files + ["--latency-ms", "150", "--skip-stale"])
+            assert_exit_code(["streamer"] + files + ["--latency-ms", "80"])
+            assert_exit_code(["mcl", "--pred", str(tmp / "det.txt"), "--gt-t", str(tmp / "gt.txt"),
+                              "--gt-tm1", str(tmp / "gt.txt"), "--gt-tm2", str(tmp / "det.txt")])
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=config_texts())
+    def test_config_files(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cwd = os.getcwd()
+            os.chdir(tmp)  # relative paths in the config resolve inside tmp
+            try:
+                (tmp / "cfg.txt").write_text(config)
+                for command in ("stream-eval", "streamer", "flow", "mcl"):
+                    assert_exit_code(["--config", "cfg.txt"] + command_argv(tmp, command))
+            finally:
+                os.chdir(cwd)
+
+    @settings(max_examples=60, deadline=None)
+    @given(previous=fgrd_files(), current=st.one_of(st.none(), fgrd_files()))
+    def test_fgrd_files(self, previous, current):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_fgrd(str(tmp / "cur.fgrd"), textured_grid(8, 8, 4))
+            if current is not None:
+                (tmp / "cur.fgrd").write_bytes(current)
+            (tmp / "prev.fgrd").write_bytes(previous)
+            assert_exit_code(["flow", "--current", str(tmp / "cur.fgrd"),
+                              "--previous", str(tmp / "prev.fgrd"), "--output", str(tmp / "o"),
+                              "--rd", "1"])

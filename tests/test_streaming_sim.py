@@ -1,13 +1,40 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamperc.streaming_sim import (
-    build_schedule,
-    finished_by_instant,
-    latest_output_at,
-    pair_stream,
-)
+from streamperc.streaming_sim import build_schedule, finished_by_instant, pair_stream
+
+
+def exact_ms(v):
+    """v ms as a Fraction, rounded to the schedule's stated 1 ns resolution."""
+    return v if isinstance(v, Fraction) else Fraction(round(v * 1_000_000), 1_000_000)
+
+
+def latest_output_at(interval_ms, latencies_ms, t_query_ms, skip_stale=False):
+    """Largest frame index whose finish time is <= t_query, or None.
+
+    The reference for the pairing walk: it simulates the worker again from
+    the schedule's inputs in exact rationals and scans every frame, so it
+    shares no arithmetic with the walk it checks.
+    """
+    interval, t_query = exact_ms(interval_ms), exact_ms(t_query_ms)
+    best, available = None, Fraction(0)
+    for k, latency in enumerate(latencies_ms):
+        arrival = k * interval
+        if skip_stale and arrival < available:
+            continue
+        available = max(arrival, available) + exact_ms(latency)
+        if available <= t_query:
+            best = k
+    return best
+
+
+def paired_frames(s):
+    """The output frame paired with each ground-truth instant, or None."""
+    pairs = pair_stream(s, {k: [k] for k in range(len(s.events))}, {})
+    return [preds[0] if preds else None for preds, _ in pairs]
 
 
 class TestBuildSchedule:
@@ -67,40 +94,43 @@ class TestBuildSchedule:
 
 
 class TestLatestOutputAt:
+    """The pairing oracle itself, on schedules worked out by hand."""
+
     def test_current_vs_next_regime(self):
         # latency below the interval: the query at instant j sees frame j-1
-        s = build_schedule(10, 100.0, [80.0] * 10)
         for j in range(1, 10):
-            assert latest_output_at(s, 100.0 * j) == j - 1
+            assert latest_output_at(100.0, [80.0] * 10, 100.0 * j) == j - 1
 
     def test_before_first_finish(self):
-        s = build_schedule(5, 100.0, [80.0] * 5)
-        assert latest_output_at(s, 0.0) is None
-        assert latest_output_at(s, 79.0) is None
+        assert latest_output_at(100.0, [80.0] * 5, 0.0) is None
+        assert latest_output_at(100.0, [80.0] * 5, 79.0) is None
 
     def test_queueing_staleness_grows(self):
-        s = build_schedule(12, 100.0, [150.0] * 12)
         # finish(k) = 150(k+1): at t=100(j+1) the newest finished frame is
         # floor((100j - 50) / 150), two or more behind as queueing builds
         for j in range(1, 12):
             t_query = 100.0 * (j + 1)
             expected = max((k for k in range(12) if 150.0 * (k + 1) <= t_query), default=None)
-            assert latest_output_at(s, t_query) == expected
+            assert latest_output_at(100.0, [150.0] * 12, t_query) == expected
             if expected is not None:
                 assert expected <= j - 1
 
     def test_monotone(self):
-        s = build_schedule(6, 100.0, [120.0] * 6)
         last = -1
         for t in range(0, 1200, 10):
-            k = latest_output_at(s, float(t))
+            k = latest_output_at(100.0, [120.0] * 6, float(t))
             v = -1 if k is None else k
             assert v >= last
             last = v
 
     def test_tie_counts_as_available(self):
-        s = build_schedule(3, 100.0, [100.0] * 3)
-        assert latest_output_at(s, 100.0) == 0
+        assert latest_output_at(100.0, [100.0] * 3, 100.0) == 0
+
+    def test_skip_stale_every_other_frame(self):
+        # frames 0, 2, 4 finish at 150, 350, 550
+        got = [latest_output_at(100.0, [150.0] * 6, 100.0 * j, skip_stale=True)
+               for j in range(6)]
+        assert got == [None, None, 0, 0, 2, 2]
 
 
 class TestPairStream:
@@ -128,8 +158,9 @@ class TestPairStream:
 
 
 @st.composite
-def schedules(draw):
-    """Random schedules, constant or per-frame, with or without skip-stale.
+def schedule_inputs(draw):
+    """Random (interval, latencies, skip-stale): constant or per-frame
+    latencies, with or without skip-stale.
 
     Latencies are often whole quarters of the interval, so finish times tie
     with ground-truth instants; zero latency ties every frame at arrival.
@@ -144,25 +175,65 @@ def schedules(draw):
         latencies = draw(st.lists(latency, min_size=n, max_size=n))
     else:
         latencies = [draw(latency)] * n
-    return build_schedule(n, interval, latencies, skip_stale=draw(st.booleans()))
+    return interval, latencies, draw(st.booleans())
 
 
 class TestPairingWalk:
     @settings(max_examples=300, deadline=None)
-    @given(schedules())
-    def test_matches_scan_oracle(self, s):
-        # the full scan of latest_output_at is the reference for the walk
-        pairs = pair_stream(s, {k: [k] for k in range(len(s.events))}, {})
-        for j, (preds, _) in enumerate(pairs):
-            k = latest_output_at(s, j * s.frame_interval_ms)
-            assert preds == ([] if k is None else [k])
-        t_last = (len(s.events) - 1) * s.frame_interval_ms
+    @given(schedule_inputs())
+    def test_matches_scan_oracle(self, inputs):
+        # the exact full scan of latest_output_at is the reference for the walk
+        interval, latencies, skip_stale = inputs
+        s = build_schedule(len(latencies), interval, latencies, skip_stale=skip_stale)
+        assert paired_frames(s) == [
+            latest_output_at(interval, latencies, j * exact_ms(interval), skip_stale)
+            for j in range(len(latencies))
+        ]
+        t_last = (len(s.events) - 1) * s.interval_ns
         walked = [ev.frame for _, _, done in finished_by_instant(s) for ev in done]
         assert walked == [
-            ev.frame for ev in s.events if ev.processed and ev.finish_ms <= t_last
+            ev.frame for ev in s.events if ev.processed and ev.finish_ns <= t_last
         ]
 
     def test_zero_latency_finishes_at_arrival(self):
         s = build_schedule(3, 100.0, [0.0] * 3)
         got = [(j, t, [ev.frame for ev in done]) for j, t, done in finished_by_instant(s)]
         assert got == [(0, 0.0, [0]), (1, 100.0, [1]), (2, 200.0, [2])]
+
+
+class TestExactSchedule:
+    """Times are whole nanoseconds, so a finish that equals an instant in
+    decimal arithmetic ties with it, whatever the float sums would give."""
+
+    def test_latency_of_one_thirty_hz_interval(self):
+        # float sums of 33.3 put finishes one ulp after instants 6 to 17
+        s = build_schedule(20, 33.3, [33.3] * 20)
+        assert paired_frames(s) == [None] + list(range(19))
+
+    def test_ms_fields_are_the_nanoseconds(self):
+        s = build_schedule(3, 33.3, [0.0000004, 0.0000006, 1e-7])
+        assert s.interval_ns == 33_300_000 and s.frame_interval_ms == 33.3
+        assert [ev.finish_ns for ev in s.events] == [0, 33_300_001, 66_600_000]
+        assert [ev.finish_ms for ev in s.events] == [0.0, 33.300001, 66.6]
+
+    def test_interval_below_half_a_nanosecond_is_rejected(self):
+        with pytest.raises(ValueError):
+            build_schedule(2, 4e-7, [0.0, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 3), st.integers(1, 30), st.booleans())
+    def test_latency_of_m_intervals_ties_every_finish(self, thousandths, m, n, skip_stale):
+        # an interval with up to three decimals, and the latency that is that
+        # decimal written m times over, both as a parser reads them
+        interval, latency = thousandths / 1000, m * thousandths / 1000
+        s = build_schedule(n, interval, [latency] * n, skip_stale=skip_stale)
+        # Every finish ties with an instant. Skip-stale processes every m-th
+        # frame, frame k finishing at instant k + m, so instant j sees the
+        # latest of them at most j - m. Without it the queue grows, frame k
+        # finishes at instant m(k + 1), and instant j sees frame j // m - 1.
+        # Both are frame j - m when m = 1.
+        if skip_stale:
+            expected = [None if j < m else (j - m) // m * m for j in range(n)]
+        else:
+            expected = [None if j < m else j // m - 1 for j in range(n)]
+        assert paired_frames(s) == expected
