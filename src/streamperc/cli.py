@@ -246,23 +246,8 @@ def cmd_streamer(args):
     all_pairs, dump_lines, missing_frames = [], [], []
     for schedule, det_boxes, gts, missing in _stream_sequences(args, opts):
         missing_frames.extend(missing)
-        trackers = {cid: forecast.StreamerTracker() for cid in opts.class_ids.values()}
-        last_world_ms = None
-        for j, t_query, finished in streaming_sim.finished_by_instant(schedule):
-            for ev in finished:
-                dt_ms = (schedule.frame_interval_ms if last_world_ms is None
-                         else ev.arrival_ms - last_world_ms)
-                frame_dets = det_boxes.get(ev.frame, [])
-                for cid, tracker in trackers.items():
-                    tracker.step([b for b in frame_dets if b.class_id == cid], dt_ms / 1000.0)
-                last_world_ms = ev.arrival_ms
-            if last_world_ms is None:
-                all_pairs.append(([], gts.get(j, [])))
-                continue
-            dt = (t_query - last_world_ms) / 1000.0
-            preds = []
-            for tracker in trackers.values():
-                preds.extend(tracker.forecast(dt))
+        forecasts = forecast.stream_forecasts(schedule, det_boxes, opts.class_ids.values())
+        for j, preds in enumerate(forecasts):
             all_pairs.append((preds, gts.get(j, [])))
             dump_lines.extend(
                 "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f\n"

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Box3D, iou_matrix, normalize_angle
+from .streaming_sim import StreamSchedule, finished_by_instant
 
 STATE_DIM = 11
 MEAS_DIM = 7
@@ -50,14 +51,17 @@ class TrackState:
 
     def to_box(self) -> Box3D:
         m = self.mean
-        return Box3D(
-            center=(m[0], m[1], m[2]),
-            dims=(m[6], m[5], m[4]),  # stored l, w, h -> Box3D (h, w, l)
-            yaw=m[3],  # Box3D wraps it
-            score=self.score,
-            class_id=self.class_id,
-            track_id=self.id,
-        )
+        try:
+            return Box3D(
+                center=(m[0], m[1], m[2]),
+                dims=(m[6], m[5], m[4]),  # stored l, w, h -> Box3D (h, w, l)
+                yaw=m[3],  # Box3D wraps it
+                score=self.score,
+                class_id=self.class_id,
+                track_id=self.id,
+            )
+        except ValueError as exc:  # the filter diverged, say by overflow
+            raise ArithmeticError("Kalman state is no longer a valid box: %s" % exc) from exc
 
 
 def measurement_from_box(box: Box3D) -> np.ndarray:
@@ -219,3 +223,21 @@ def forecast_boxes(tracks: Sequence[TrackState], dt: float) -> List[Box3D]:
     f = _transition(dt)
     return [t.with_estimate(f @ t.mean, t.covariance).to_box() if dt > 0 else t.to_box()
             for t in tracks]
+
+
+def stream_forecasts(s: StreamSchedule, dets: Dict[int, List[Box3D]],
+                     class_ids: Iterable[int]) -> Iterator[List[Box3D]]:
+    """Yield the Streamer's boxes at each ground-truth instant j of the
+    schedule. One tracker per class steps on each processed frame at its
+    arrival time, the first step spanning one interval, and forecasts to t_j."""
+    trackers = {cid: StreamerTracker() for cid in class_ids}
+    last_ms = -s.frame_interval_ms  # frame 0 is always processed first, at 0.0
+    for _, t_ms, finished in finished_by_instant(s):
+        for ev in finished:
+            frame_dets = dets.get(ev.frame, [])
+            dt = (ev.arrival_ms - last_ms) / 1000.0
+            for cid, tracker in trackers.items():
+                tracker.step([b for b in frame_dets if b.class_id == cid], dt)
+            last_ms = ev.arrival_ms
+        dt = (t_ms - last_ms) / 1000.0
+        yield [b for tracker in trackers.values() for b in tracker.forecast(dt)]

@@ -104,11 +104,9 @@ def pair_stream(
     Ground-truth instant j is j*interval; a missing output yields an empty
     prediction set.
     """
-    pairs = []
-    latest = None
+    pairs, preds = [], []
     for j, _, finished in finished_by_instant(s):
         if finished:
-            latest = finished[-1].frame
-        preds = outputs.get(latest, []) if latest is not None else []
+            preds = outputs.get(finished[-1].frame, [])
         pairs.append((list(preds), list(gts.get(j, []))))
     return pairs

@@ -348,6 +348,55 @@ class TestStreamer:
         config = json.loads((tmp_path / "fc.json").read_text())["config"]
         assert config["latency"] == 150.0 and config["skip_stale"] is True
 
+    def test_each_class_has_its_own_tracker(self, tmp_path):
+        # a Pedestrian on top of the Car and one beside it; with one shared
+        # tracker the ids would run 0-2 and the Car's track could take a
+        # Pedestrian's box
+        objects = (("Car", 0.0, 0.9), ("Pedestrian", 0.2, 0.4), ("Pedestrian", 6.0, 0.3))
+        world = {f: [make_gt(frame=f, track_id=i, class_name=c, x=x + f)
+                     for i, (c, x, _) in enumerate(objects)] for f in range(4)}
+        dets = {f: [make_gt(frame=f, track_id=-1, class_name=c, x=x + f, score=score)
+                    for c, x, score in objects] for f in range(4)}
+        gt = write_labels(tmp_path / "gt.txt", world)
+        det = write_labels(tmp_path / "det.txt", dets)
+        assert cli.main(["streamer", "--gt", gt, "--det", det, "--output", str(tmp_path / "fc"),
+                         "--latency-ms", "0", "--classes", "Car,Pedestrian"]) == 0
+        rows = [line.split() for line in
+                (tmp_path / "fc_forecasts.txt").read_text().splitlines()]
+        assert all(len(r) == 18 for r in rows)
+        # zero latency: instant j forecasts frame j in place; ids count per class
+        want = [(j, tid, c, x + j, score) for j in range(4)
+                for tid, (c, x, score) in zip((0, 0, 1), objects)]
+        assert [(int(r[0]), int(r[1]), r[2]) for r in rows] == [w[:3] for w in want]
+        assert [float(v) for r in rows for v in (r[13], r[17])] == pytest.approx(
+            [v for w in want for v in w[3:]], abs=1e-6)
+
+    def test_repeated_class_runs_one_tracker(self, tmp_path):
+        gt = write_labels(tmp_path / "gt.txt", simple_world(5))
+        det = write_labels(tmp_path / "det.txt", simple_world(5, score=0.9))
+        dumps = []
+        for classes in ("Car", "Car,Car"):
+            out = str(tmp_path / classes.replace(",", "_"))
+            assert cli.main(["streamer", "--gt", gt, "--det", det, "--output", out,
+                             "--latency-ms", "150", "--classes", classes]) == 0
+            dumps.append(Path(out + "_forecasts.txt").read_bytes())
+        assert dumps[0] == dumps[1] and dumps[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_diverging_filter_is_numerical_error(self, tmp_path, capsys):
+        # a 1e147 s step overflows the covariance of a moving Car's track by
+        # frame 3: the streamer exits 4, not 3, and publishes nothing
+        world = {f: [make_gt(frame=f, x=1.0 * f)] for f in range(4)}
+        dets = {f: [make_gt(frame=f, x=1.0 * f, score=0.9)] for f in range(4)}
+        gt = write_labels(tmp_path / "gt.txt", world)
+        det = write_labels(tmp_path / "det.txt", dets)
+        assert cli.main(["streamer", "--gt", gt, "--det", det, "--output", str(tmp_path / "r"),
+                         "--interval-ms", "1e150", "--latency-ms", "0"]) == 4
+        captured = capsys.readouterr()
+        assert "numerical error: Kalman state is no longer a valid box" in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["det.txt", "gt.txt"]
+
 
 class TestFlow:
     def test_translation_recovery(self, tmp_path, capsys):

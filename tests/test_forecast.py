@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamperc.forecast import (
     MAX_MISSES,
@@ -18,12 +20,15 @@ from streamperc.forecast import (
     kf_update,
     measurement_from_box,
     new_track,
+    stream_forecasts,
     streamer_step,
 )
 
 from streamperc.geometry import normalize_angle
+from streamperc.streaming_sim import build_schedule, finished_by_instant
 
 from conftest import make_box
+from test_streaming_sim import schedule_inputs
 
 
 def assert_psd(cov):
@@ -258,6 +263,19 @@ class TestStreamerTracker:
             t.mean[3] = yaw
             assert t.to_box().yaw == normalize_angle(yaw)
 
+    @pytest.mark.parametrize("index, value", [
+        pytest.param(0, np.nan, id="nan-x"),
+        pytest.param(3, np.nan, id="nan-yaw"),
+        pytest.param(4, -3.9, id="negative-l"),
+        pytest.param(6, np.inf, id="infinite-h"),
+    ])
+    def test_to_box_of_invalid_mean_is_arithmetic_error(self, index, value):
+        # a diverged filter is a numerical error, not the data error Box3D raises
+        t = new_track(0, make_box())
+        t.mean[index] = value
+        with pytest.raises(ArithmeticError, match="no longer a valid box"):
+            t.to_box()
+
     def test_tracker_ids_count_from_zero(self):
         tracker = StreamerTracker()
         tracker.step([make_box(x=0.0), make_box(x=20.0)], 0.1)
@@ -463,3 +481,96 @@ class TestStreamerMatchesReference:
             assert_same_bits(t.covariance, f.covariance)
             assert_same_bits(t.last_measurement, f.last_measurement)
         assert not {id(t) for t in out} & {id(t) for t in tracks}
+
+
+def ref_stream_forecasts(schedule, dets, class_ids):
+    """The Streamer's stream walk as the streamer command wrote it inline:
+    no forecast before the first step, and a first step of one interval."""
+    trackers = {cid: StreamerTracker() for cid in class_ids}
+    last_world_ms = None
+    out = []
+    for _, t_query, finished in finished_by_instant(schedule):
+        for ev in finished:
+            dt_ms = (schedule.frame_interval_ms if last_world_ms is None
+                     else ev.arrival_ms - last_world_ms)
+            frame_dets = dets.get(ev.frame, [])
+            for cid, tracker in trackers.items():
+                tracker.step([b for b in frame_dets if b.class_id == cid], dt_ms / 1000.0)
+            last_world_ms = ev.arrival_ms
+        if last_world_ms is None:
+            out.append([])
+            continue
+        dt = (t_query - last_world_ms) / 1000.0
+        preds = []
+        for tracker in trackers.values():
+            preds.extend(tracker.forecast(dt))
+        out.append(preds)
+    return out
+
+
+def box_bits(b):
+    """Center, dims and yaw as raw float64 bytes, then score, class and track."""
+    return (np.array([*b.center, *b.dims, b.yaw], dtype=float).tobytes(),
+            b.score, b.class_id, b.track_id)
+
+
+@st.composite
+def streamer_inputs(draw):
+    """(schedule, detections, class ids): constant or per-frame latencies,
+    with or without skip-stale, one to three evaluated classes in any order,
+    and frames with no detection line."""
+    interval, latencies, skip_stale = draw(schedule_inputs())
+    n = len(latencies)
+    schedule = build_schedule(n, interval, latencies, skip_stale=skip_stale)
+    class_ids = draw(st.permutations([0, 1, 2]))[:draw(st.integers(1, 3))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objects = random_objects(rng)
+    no_line = draw(st.sets(st.integers(0, n - 1)))
+    dets = {k: [b for b in random_detections(rng, objects, k) if b.class_id in class_ids]
+            for k in range(n) if k not in no_line}
+    return schedule, dets, class_ids
+
+
+class TestStreamForecasts:
+    @settings(max_examples=150, deadline=None)
+    @given(streamer_inputs())
+    def test_matches_inline_loop(self, inputs):
+        schedule, dets, class_ids = inputs
+        got = [[box_bits(b) for b in preds]
+               for preds in stream_forecasts(schedule, dets, class_ids)]
+        assert got == [[box_bits(b) for b in preds]
+                       for preds in ref_stream_forecasts(schedule, dets, class_ids)]
+
+    def test_one_tracker_per_class(self):
+        # two Cars (class 0) and two Pedestrians (class 1), each Pedestrian on
+        # top of a Car: a shared tracker would give ids 0-3 and match across
+        # classes. Zero latency, so instant j forecasts frame j in place.
+        s = build_schedule(3, 100.0, [0.0] * 3)
+        dets = {k: [make_box(x=x + k, z=10.0, score=score, class_id=cid)
+                    for x, cid, score in ((0.0, 0, 0.9), (0.2, 1, 0.4),
+                                          (20.0, 0, 0.8), (20.2, 1, 0.3))]
+                for k in range(3)}
+        for j, preds in enumerate(stream_forecasts(s, dets, [0, 1])):
+            got = [(b.class_id, b.track_id, b.score) for b in preds]
+            assert got == [(0, 0, 0.9), (0, 1, 0.8), (1, 0, 0.4), (1, 1, 0.3)]
+            assert [b.center[0] for b in preds] == pytest.approx(
+                [j, j + 20.0, j + 0.2, j + 20.2], abs=1e-9)
+
+    def test_other_class_never_updates_track(self):
+        # a Car seen at frame 0 only, then a Pedestrian on the same spot: the
+        # Car track keeps its score, misses frames 1 and 2 and is retired at
+        # frame 3, as if the Pedestrian were not there
+        s = build_schedule(4, 100.0, [0.0] * 4)
+        dets = {0: [make_box(z=10.0, score=0.9, class_id=0)]}
+        dets.update({k: [make_box(z=10.0, score=0.4, class_id=1)] for k in (1, 2, 3)})
+        got = [[(b.class_id, b.track_id, b.score) for b in preds]
+               for preds in stream_forecasts(s, dets, [0, 1])]
+        assert got == [[(0, 0, 0.9)], [(0, 0, 0.9), (1, 0, 0.4)],
+                       [(0, 0, 0.9), (1, 0, 0.4)], [(1, 0, 0.4)]]
+
+    def test_repeated_class_id_gives_one_tracker(self):
+        s = build_schedule(3, 100.0, [50.0] * 3)
+        dets = {k: [make_box(x=k, z=10.0, class_id=1)] for k in range(3)}
+        once = [[box_bits(b) for b in p] for p in stream_forecasts(s, dets, [1])]
+        assert [[box_bits(b) for b in p] for p in stream_forecasts(s, dets, [1, 1])] == once
+        assert [len(p) for p in once] == [0, 1, 1]
