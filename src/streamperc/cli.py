@@ -244,16 +244,18 @@ def cmd_eval(args):
 def cmd_streamer(args):
     opts = _label_options(args)
     all_pairs, dump_lines, missing_frames = [], [], []
-    for schedule, det_boxes, gts, missing in _stream_sequences(args, opts):
-        missing_frames.extend(missing)
-        forecasts = forecast.stream_forecasts(schedule, det_boxes, opts.class_ids.values())
-        for j, preds in enumerate(forecasts):
-            all_pairs.append((preds, gts.get(j, [])))
-            dump_lines.extend(
-                "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f\n"
-                % (j, p.track_id, opts.classes[p.class_id], *p.dims, *p.center, p.yaw, p.score)
-                for p in preds
-            )
+    # A diverging filter's NaN state exits 4 through to_box; numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for schedule, det_boxes, gts, missing in _stream_sequences(args, opts):
+            missing_frames.extend(missing)
+            forecasts = forecast.stream_forecasts(schedule, det_boxes, opts.class_ids.values())
+            for j, preds in enumerate(forecasts):
+                all_pairs.append((preds, gts.get(j, [])))
+                dump_lines.extend(
+                    "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f\n"
+                    % (j, p.track_id, opts.classes[p.class_id], *p.dims, *p.center, p.yaw, p.score)
+                    for p in preds
+                )
     files, stdout = _ap_report(args, opts, all_pairs, missing_frames, pr_dump=False)
     return {args.output + "_forecasts.txt": "".join(dump_lines).encode(), **files}, stdout
 

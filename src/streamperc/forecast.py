@@ -50,7 +50,7 @@ class TrackState:
                           self.score, self.class_id, self.last_measurement)
 
     def to_box(self) -> Box3D:
-        m = self.mean
+        m = self.mean.tolist()  # plain floats, also in a divergence message
         try:
             return Box3D(
                 center=(m[0], m[1], m[2]),
@@ -231,13 +231,13 @@ def stream_forecasts(s: StreamSchedule, dets: Dict[int, List[Box3D]],
     schedule. One tracker per class steps on each processed frame at its
     arrival time, the first step spanning one interval, and forecasts to t_j."""
     trackers = {cid: StreamerTracker() for cid in class_ids}
-    last_ms = -s.frame_interval_ms  # frame 0 is always processed first, at 0.0
-    for _, t_ms, finished in finished_by_instant(s):
+    last_ms = -s.interval_ns / 1_000_000  # frame 0 is always processed first, at 0.0
+    for j, finished in finished_by_instant(s):
         for ev in finished:
-            frame_dets = dets.get(ev.frame, [])
-            dt = (ev.arrival_ms - last_ms) / 1000.0
+            arrival_ms = ev.frame * s.interval_ns / 1_000_000
+            dt = (arrival_ms - last_ms) / 1000.0
             for cid, tracker in trackers.items():
-                tracker.step([b for b in frame_dets if b.class_id == cid], dt)
-            last_ms = ev.arrival_ms
-        dt = (t_ms - last_ms) / 1000.0
+                tracker.step([b for b in dets.get(ev.frame, []) if b.class_id == cid], dt)
+            last_ms = arrival_ms
+        dt = (j * s.interval_ns / 1_000_000 - last_ms) / 1000.0
         yield [b for tracker in trackers.values() for b in tracker.forecast(dt)]

@@ -4,7 +4,8 @@ A single worker processes frames in order: frame k arrives at k*interval,
 starts when the worker is free, and finishes after its latency. In
 skip-stale mode the worker drops every queued frame that is already stale
 when it becomes free and waits for the next fresh arrival instead, so with
-latency 1.5x the interval every other frame is processed.
+latency 1.5x the interval every other frame is processed. The schedule
+records only each frame's finish time, in whole nanoseconds.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ def _ns(ms: float) -> int:
 @dataclass
 class FrameEvent:
     frame: int
-    arrival_ms: float
-    start_ms: Optional[float]  # None when the frame was skipped
-    finish_ms: Optional[float]
-    finish_ns: Optional[int]  # finish_ms in whole ns, which pairing compares
+    finish_ns: Optional[int]  # None when the frame was skipped
 
     @property
     def processed(self) -> bool:
@@ -37,8 +35,7 @@ class FrameEvent:
 
 @dataclass
 class StreamSchedule:
-    frame_interval_ms: float
-    interval_ns: int  # frame_interval_ms in whole ns, which pairing uses
+    interval_ns: int
     events: List[FrameEvent]
 
 
@@ -65,20 +62,15 @@ def build_schedule(
     for k, latency in enumerate(latencies_ms):
         arrival = k * interval
         if skip_stale and arrival < available:
-            events.append(FrameEvent(k, arrival / _NS_PER_MS, None, None, None))
+            events.append(FrameEvent(k, None))
             continue
-        start = max(arrival, available)
-        available = start + _ns(latency)
-        events.append(FrameEvent(
-            k, arrival / _NS_PER_MS, start / _NS_PER_MS, available / _NS_PER_MS, available
-        ))
-    return StreamSchedule(interval / _NS_PER_MS, interval, events)
+        available = max(arrival, available) + _ns(latency)
+        events.append(FrameEvent(k, available))
+    return StreamSchedule(interval, events)
 
 
-def finished_by_instant(
-    s: StreamSchedule,
-) -> Iterator[Tuple[int, float, List[FrameEvent]]]:
-    """Yield (j, t_j in ms, processed frames finishing in (t_{j-1}, t_j]) per instant.
+def finished_by_instant(s: StreamSchedule) -> Iterator[Tuple[int, List[FrameEvent]]]:
+    """Yield (j, processed frames finishing in (t_{j-1}, t_j]) per instant.
 
     Ground-truth instant j is t_j = j*interval for every frame of the
     schedule. One forward pointer suffices because finish times never
@@ -91,7 +83,7 @@ def finished_by_instant(
         first = i
         while i < len(processed) and processed[i].finish_ns <= t_query:
             i += 1
-        yield j, t_query / _NS_PER_MS, processed[first:i]
+        yield j, processed[first:i]
 
 
 def pair_stream(
@@ -105,7 +97,7 @@ def pair_stream(
     prediction set.
     """
     pairs, preds = [], []
-    for j, _, finished in finished_by_instant(s):
+    for j, finished in finished_by_instant(s):
         if finished:
             preds = outputs.get(finished[-1].frame, [])
         pairs.append((list(preds), list(gts.get(j, []))))

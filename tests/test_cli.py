@@ -5,6 +5,7 @@ import os
 import stat
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,87 @@ class TestOfflineIsZeroLatency:
         assert payload["missing_frames"] == []
 
 
+@st.composite
+def stream_timings(draw):
+    """(interval, latencies, traced, skip_stale), times in whole ns: six
+    latencies for a trace (label_worlds has at most six frames) or one
+    constant latency. Latencies of whole intervals tie finishes with
+    instants."""
+    interval = draw(st.integers(1, 200_000_000))
+    latency = st.one_of(st.integers(0, 3 * interval),
+                        st.integers(0, 3).map(lambda m: m * interval))
+    traced = draw(st.booleans())
+    latencies = draw(st.lists(latency, min_size=6, max_size=6) if traced else st.tuples(latency))
+    return interval, list(latencies), traced, draw(st.booleans())
+
+
+def stream_flags(tmp, timing, scale):
+    """The stream options of a stream_timings draw, every time times scale."""
+    interval, latencies, traced, skip_stale = timing
+
+    def ms(ns):
+        return repr(scale * ns / 1_000_000)
+
+    flags = ["--interval-ms", ms(interval)] + (["--skip-stale"] if skip_stale else [])
+    if not traced:
+        return flags + ["--latency-ms", ms(latencies[0])]
+    trace = tmp / ("trace%d.txt" % scale)
+    trace.write_text("".join(ms(v) + "\n" for v in latencies))
+    return flags + ["--latency-trace", str(trace)]
+
+
+class TestMetamorphic:
+    """Transformed inputs that must leave the AP table and the PR dump
+    byte-identical. streamer is out of scope: its pairs come from Kalman
+    forecasts, whose step lengths change with the interval."""
+
+    @staticmethod
+    def reports(tmp, command, gt, det, flags, name):
+        assert cli.main([command, "--gt", gt, "--det", det,
+                         "--output", str(tmp / name)] + flags) == 0
+        return [(tmp / (name + suffix)).read_bytes() for suffix in (".csv", "_pr.dat")]
+
+    @settings(max_examples=100, deadline=None)
+    @given(world=label_worlds(), timing=stream_timings())
+    def test_doubled_interval_and_latencies(self, world, timing):
+        # the schedule is exact in ns, so doubling every time doubles every
+        # arrival and finish and keeps every pairing
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            gt = write_labels(tmp / "gt.txt", world[0])
+            det = write_labels(tmp / "det.txt", world[1])
+            single, double = (
+                self.reports(tmp, "stream-eval", gt, det, stream_flags(tmp, timing, scale),
+                             "x%d" % scale)
+                for scale in (1, 2)
+            )
+            assert single == double
+
+    @settings(max_examples=50, deadline=None)
+    @given(worlds=st.lists(label_worlds(), min_size=1, max_size=3), timing=stream_timings())
+    def test_duplicated_sequences(self, worlds, timing):
+        # TP, FP and the ground-truth count all double, and every precision
+        # and recall is a ratio of them
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for copies in (1, 2):
+                for side, world_side in (("gt", 0), ("det", 1)):
+                    folder = tmp / ("%s%d" % (side, copies))
+                    folder.mkdir()
+                    for i, world in enumerate(worlds):
+                        for c in range(copies):
+                            write_labels(folder / ("%04d_%d.txt" % (i, c)), world[world_side])
+            for command, flags in (("eval", []),
+                                   ("stream-eval", stream_flags(tmp, timing, 1))):
+                once, twice = (
+                    self.reports(tmp, command, str(tmp / ("gt%d" % copies)),
+                                 str(tmp / ("det%d" % copies)), flags,
+                                 "%s%d" % (command, copies))
+                    for copies in (1, 2)
+                )
+                assert once == twice
+
+
 class TestStreamEval:
     def test_zero_latency_matches_offline(self, tmp_path):
         gt = write_labels(tmp_path / "gt.txt", simple_world())
@@ -382,18 +464,23 @@ class TestStreamer:
             dumps.append(Path(out + "_forecasts.txt").read_bytes())
         assert dumps[0] == dumps[1] and dumps[0]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
     def test_diverging_filter_is_numerical_error(self, tmp_path, capsys):
         # a 1e147 s step overflows the covariance of a moving Car's track by
-        # frame 3: the streamer exits 4, not 3, and publishes nothing
+        # frame 3: the streamer exits 4, not 3, publishes nothing and says so
+        # in one line of plain floats, with no numpy warning
         world = {f: [make_gt(frame=f, x=1.0 * f)] for f in range(4)}
         dets = {f: [make_gt(frame=f, x=1.0 * f, score=0.9)] for f in range(4)}
         gt = write_labels(tmp_path / "gt.txt", world)
         det = write_labels(tmp_path / "det.txt", dets)
-        assert cli.main(["streamer", "--gt", gt, "--det", det, "--output", str(tmp_path / "r"),
-                         "--interval-ms", "1e150", "--latency-ms", "0"]) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["streamer", "--gt", gt, "--det", det,
+                             "--output", str(tmp_path / "r"),
+                             "--interval-ms", "1e150", "--latency-ms", "0"]) == 4
         captured = capsys.readouterr()
-        assert "numerical error: Kalman state is no longer a valid box" in captured.err
+        assert captured.err.startswith("numerical error: Kalman state is no longer a valid box")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "np.float64" not in captured.err
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["det.txt", "gt.txt"]
 

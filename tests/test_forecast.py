@@ -489,18 +489,19 @@ def ref_stream_forecasts(schedule, dets, class_ids):
     trackers = {cid: StreamerTracker() for cid in class_ids}
     last_world_ms = None
     out = []
-    for _, t_query, finished in finished_by_instant(schedule):
+    for j, finished in finished_by_instant(schedule):
         for ev in finished:
-            dt_ms = (schedule.frame_interval_ms if last_world_ms is None
-                     else ev.arrival_ms - last_world_ms)
+            arrival_ms = ev.frame * schedule.interval_ns / 1_000_000
+            dt_ms = (schedule.interval_ns / 1_000_000 if last_world_ms is None
+                     else arrival_ms - last_world_ms)
             frame_dets = dets.get(ev.frame, [])
             for cid, tracker in trackers.items():
                 tracker.step([b for b in frame_dets if b.class_id == cid], dt_ms / 1000.0)
-            last_world_ms = ev.arrival_ms
+            last_world_ms = arrival_ms
         if last_world_ms is None:
             out.append([])
             continue
-        dt = (t_query - last_world_ms) / 1000.0
+        dt = (j * schedule.interval_ns / 1_000_000 - last_world_ms) / 1000.0
         preds = []
         for tracker in trackers.values():
             preds.extend(tracker.forecast(dt))

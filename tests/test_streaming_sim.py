@@ -40,21 +40,21 @@ def paired_frames(s):
 class TestBuildSchedule:
     def test_constant_latency_under_interval(self):
         s = build_schedule(10, 100.0, [80.0] * 10)
+        assert s.interval_ns == 100_000_000
         for k, ev in enumerate(s.events):
-            assert ev.arrival_ms == 100.0 * k
-            assert ev.start_ms == 100.0 * k
-            assert ev.finish_ms == 100.0 * k + 80.0
+            # starts on arrival at k*interval, finishes 80 ms later
+            assert (ev.frame, ev.finish_ns) == (k, 100_000_000 * k + 80_000_000)
 
     def test_zero_latency(self):
         s = build_schedule(5, 100.0, [0.0] * 5)
         for ev in s.events:
-            assert ev.finish_ms == ev.arrival_ms
+            assert ev.finish_ns == ev.frame * s.interval_ns
 
     def test_queueing_without_skip(self):
         s = build_schedule(4, 100.0, [150.0] * 4)
-        finishes = [ev.finish_ms for ev in s.events]
+        finishes = [ev.finish_ns for ev in s.events]
         # frame k starts when the worker frees up: finish(k) = 150(k+1)
-        assert finishes == [150.0, 300.0, 450.0, 600.0]
+        assert finishes == [150_000_000, 300_000_000, 450_000_000, 600_000_000]
 
     def test_skip_stale_every_other_frame(self):
         # latency 1.5x interval: stale queued frames are dropped and the
@@ -62,7 +62,8 @@ class TestBuildSchedule:
         s = build_schedule(8, 100.0, [150.0] * 8, skip_stale=True)
         processed = [ev.frame for ev in s.events if ev.processed]
         assert processed == [0, 2, 4, 6]
-        assert [ev.finish_ms for ev in s.events if ev.processed] == [150.0, 350.0, 550.0, 750.0]
+        assert [ev.finish_ns for ev in s.events if ev.processed] == [
+            150_000_000, 350_000_000, 550_000_000, 750_000_000]
 
     def test_skip_stale_noop_when_fast(self):
         a = build_schedule(6, 100.0, [80.0] * 6, skip_stale=False)
@@ -71,7 +72,7 @@ class TestBuildSchedule:
 
     def test_trace_latency(self):
         s = build_schedule(3, 100.0, [10.0, 250.0, 30.0])
-        assert [ev.finish_ms for ev in s.events] == [10.0, 350.0, 380.0]
+        assert [ev.finish_ns for ev in s.events] == [10_000_000, 350_000_000, 380_000_000]
 
     def test_trace_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -79,7 +80,7 @@ class TestBuildSchedule:
 
     def test_finish_strictly_increasing(self):
         s = build_schedule(20, 100.0, [130.0] * 20)
-        finishes = [ev.finish_ms for ev in s.events]
+        finishes = [ev.finish_ns for ev in s.events]
         assert all(b > a for a, b in zip(finishes, finishes[1:]))
 
     def test_invalid_args(self):
@@ -190,15 +191,15 @@ class TestPairingWalk:
             for j in range(len(latencies))
         ]
         t_last = (len(s.events) - 1) * s.interval_ns
-        walked = [ev.frame for _, _, done in finished_by_instant(s) for ev in done]
+        walked = [ev.frame for _, done in finished_by_instant(s) for ev in done]
         assert walked == [
             ev.frame for ev in s.events if ev.processed and ev.finish_ns <= t_last
         ]
 
     def test_zero_latency_finishes_at_arrival(self):
         s = build_schedule(3, 100.0, [0.0] * 3)
-        got = [(j, t, [ev.frame for ev in done]) for j, t, done in finished_by_instant(s)]
-        assert got == [(0, 0.0, [0]), (1, 100.0, [1]), (2, 200.0, [2])]
+        got = [(j, [ev.frame for ev in done]) for j, done in finished_by_instant(s)]
+        assert got == [(0, [0]), (1, [1]), (2, [2])]
 
 
 class TestExactSchedule:
@@ -212,9 +213,9 @@ class TestExactSchedule:
 
     def test_ms_fields_are_the_nanoseconds(self):
         s = build_schedule(3, 33.3, [0.0000004, 0.0000006, 1e-7])
-        assert s.interval_ns == 33_300_000 and s.frame_interval_ms == 33.3
+        assert s.interval_ns == 33_300_000 and s.interval_ns / 1_000_000 == 33.3
         assert [ev.finish_ns for ev in s.events] == [0, 33_300_001, 66_600_000]
-        assert [ev.finish_ms for ev in s.events] == [0.0, 33.300001, 66.6]
+        assert [ev.finish_ns / 1_000_000 for ev in s.events] == [0.0, 33.300001, 66.6]
 
     def test_interval_below_half_a_nanosecond_is_rejected(self):
         with pytest.raises(ValueError):
