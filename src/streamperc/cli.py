@@ -37,8 +37,8 @@ from .motion_loss import DEFAULT_TAU, batch_mcl
 DEFAULTS = {
     "interval_ms": 100.0,
     "latency_ms": 0.0,
-    "iou": "0.7,0.5",
-    "classes": "Car,Pedestrian,Cyclist",
+    "iou": ",".join(map(str, metrics.DEFAULT_IOU_THRESHOLDS)),
+    "classes": ",".join(metrics.DEFAULT_CLASSES),
     "d": feature_flow.DEFAULT_MAX_DISPLACEMENT,
     "rd": feature_flow.DEFAULT_DOWNSAMPLE_RATIO,
     "tau": DEFAULT_TAU,

@@ -67,6 +67,15 @@ class ConvSpec:
                 raise ValueError("bias must have shape (out_channels,)")
 
 
+def conv_output_size(n: int, k: int, stride: int, dilation: int = 1, transpose: bool = False) -> int:
+    """Output length along an axis of n inputs: (n-1)*s + k for a transpose conv,
+    else (n + 2*pad - keff)//s + 1 with keff = (k-1)*d + 1 and pad = keff//2."""
+    if transpose:
+        return (n - 1) * stride + k
+    keff = (k - 1) * dilation + 1
+    return (n + 2 * (keff // 2) - keff) // stride + 1
+
+
 def max_pool(g: np.ndarray, ratio: int) -> np.ndarray:
     """Channel-wise max over ratio x ratio windows; edge windows may be partial.
 
@@ -158,8 +167,8 @@ def conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     keff_w = (kw - 1) * d + 1
     ph, pw = keff_h // 2, keff_w // 2
     padded = np.pad(g, ((ph, ph), (pw, pw), (0, 0)))
-    ho = (h + 2 * ph - keff_h) // s + 1
-    wo = (w + 2 * pw - keff_w) // s + 1
+    ho = conv_output_size(h, kh, s, d)
+    wo = conv_output_size(w, kw, s, d)
     out = np.zeros((ho, wo, spec.out_channels))
     # One input channel per group: each tap multiplies a cache-sized block of output
     # rows into one reused buffer, still adding taps in (ki, kj) order from 0.0.
@@ -201,8 +210,8 @@ def transpose_conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
         )
     kh, kw = spec.kernel
     s = spec.stride
-    ho = (h - 1) * s + kh
-    wo = (w - 1) * s + kw
+    ho = conv_output_size(h, kh, s, transpose=True)
+    wo = conv_output_size(w, kw, s, transpose=True)
     out = np.zeros((ho, wo, spec.out_channels))
     for ki in range(kh):
         for kj in range(kw):

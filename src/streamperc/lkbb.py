@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .grid_ops import ConvSpec, as_grid, conv2d, transpose_conv2d
+from .grid_ops import ConvSpec, as_grid, conv2d, conv_output_size, transpose_conv2d
 
 
 @dataclass
@@ -77,14 +77,11 @@ def complexity(chain: Sequence[LayerSpec], input_hw: Tuple[int, int]) -> Complex
         if layer.bias:
             p += layer.out_channels
         params += p
-        if layer.transpose:
-            ho, wo = h * layer.stride, w * layer.stride
-            # scatter: one MAC per input position per kernel tap
-            flops += 2 * h * w * layer.out_channels * in_per_group * kh * kw
-        else:
-            ho = (h + layer.stride - 1) // layer.stride
-            wo = (w + layer.stride - 1) // layer.stride
-            flops += 2 * ho * wo * layer.out_channels * in_per_group * kh * kw
+        ho = conv_output_size(h, kh, layer.stride, layer.dilation, layer.transpose)
+        wo = conv_output_size(w, kw, layer.stride, layer.dilation, layer.transpose)
+        # a transpose conv scatters: one MAC per input position per kernel tap
+        positions = h * w if layer.transpose else ho * wo
+        flops += 2 * positions * layer.out_channels * in_per_group * kh * kw
         h, w = ho, wo
     rf, jump = receptive_field(chain)
     return ComplexityReport(params=params, flops=flops, rf=rf, jump=jump)

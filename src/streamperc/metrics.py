@@ -12,10 +12,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D, iou_bev, iou_3d
-from .kitti_io import DIFFICULTY_THRESHOLDS, Difficulty, LabeledBox, difficulty_of
+from .kitti_io import Difficulty, LabeledBox
 
 N_RECALL_POSITIONS = 40
 DEFAULT_IOU_THRESHOLDS = (0.7, 0.5)
@@ -47,43 +47,32 @@ def match_frame(
         raise ValueError("iou_threshold must be in (0, 1]")
     if iou_kind not in ("bev", "3d"):
         raise ValueError("iou_kind must be 'bev' or '3d', got %r" % iou_kind)
-    if class_name is not None:
-        gts = [g for g in gts if g.class_name in (class_name, "DontCare")]
-    in_scope: List[int] = []
-    ignorable: List[int] = []
-    gt_boxes: Dict[int, Box3D] = {}
-    for gi, g in enumerate(gts):
+    in_scope: List[Box3D] = []
+    ignorable: List[Box3D] = []
+    for g in gts:
         if g.class_name == "DontCare" and min(g.dims) <= 0.0:
             continue  # a 2D-only KITTI region (dims -1) has no box to hit
-        gt_boxes[gi] = g.box3d
-        if g.class_name != "DontCare" and g.difficulty <= level:
-            in_scope.append(gi)
-        else:
-            ignorable.append(gi)
+        if g.class_name == "DontCare" or class_name in (None, g.class_name):
+            scoped = g.class_name != "DontCare" and g.difficulty <= level
+            (in_scope if scoped else ignorable).append(g.box3d)
     # looked up per call, so a patched metrics.iou_bev/iou_3d sees every call
     iou = iou_bev if iou_kind == "bev" else iou_3d
-    claimed = set()
-    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
+    unclaimed = dict.fromkeys(range(len(in_scope)))  # in-scope indices, in order
     records = []
-    for pi in order:
-        det = preds[pi]
+    for det in sorted(preds, key=lambda p: -p.score):
         best_gt, best_iou = None, 0.0
-        for gi in in_scope:
-            if gi in claimed:
-                continue
-            v = iou(det, gt_boxes[gi])
+        for gi in unclaimed:
+            v = iou(det, in_scope[gi])
             if v >= iou_threshold and v > best_iou:
                 best_gt, best_iou = gi, v
         if best_gt is not None:
-            claimed.add(best_gt)
+            del unclaimed[best_gt]
             records.append((det.score, "tp"))
             continue
-        ignored = False
-        for gi in ignorable:
-            if iou(det, gt_boxes[gi]) >= iou_threshold:
-                ignored = True
+        for box in ignorable:
+            if iou(det, box) >= iou_threshold:
                 break
-        if not ignored:
+        else:
             records.append((det.score, "fp"))
     return FrameMatchResult(det_records=records, n_in_scope_gt=len(in_scope))
 
@@ -155,16 +144,14 @@ def cell_records(
     ids = {name: i for i, name in enumerate(classes)}
     for cls_name in classes:
         cid = ids[cls_name]
+        cls_pairs = [([p for p in preds if p.class_id == cid], gts) for preds, gts in pairs]
         for kind in iou_kinds:
             for thr in iou_thresholds:
                 for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
                     records: List[Tuple[float, str]] = []
                     n_gt = 0
-                    for preds, gts in pairs:
-                        cls_preds = [p for p in preds if p.class_id == cid]
-                        res = match_frame(
-                            cls_preds, gts, thr, level, kind, class_name=cls_name
-                        )
+                    for preds, gts in cls_pairs:
+                        res = match_frame(preds, gts, thr, level, kind, class_name=cls_name)
                         records.extend(res.det_records)
                         n_gt += res.n_in_scope_gt
                     yield cls_name, kind, thr, level, records, n_gt

@@ -99,6 +99,61 @@ class TestComplexity:
         assert rep.jump == 1.0
 
 
+def _run_layer(g, layer):
+    """Apply layer with grid_ops on g; return (output, 2 * its real MACs).
+
+    A conv does one MAC per output position per tap and input channel of its
+    group; a transpose conv scatters one per input position instead."""
+    spec = _spec(layer.in_channels, layer.out_channels, layer.kernel[0], layer.stride,
+                 layer.dilation, layer.groups, layer.transpose)
+    out = (transpose_conv2d if layer.transpose else conv2d)(g, spec)
+    positions = g.shape[0] * g.shape[1] if layer.transpose else out.shape[0] * out.shape[1]
+    kh, kw = layer.kernel
+    return out, 2 * positions * layer.out_channels * (layer.in_channels // layer.groups) * kh * kw
+
+
+_LAYERS = [
+    LayerSpec(kind, (k, k), s, d, 2, 2 if kind == "dwconv" else 3)
+    for kind in ("conv", "dwconv", "tconv")
+    for k in (1, 2, 3, 4)
+    for s in (1, 2, 3)
+    for d in ((1,) if kind == "tconv" else (1, 2))
+]
+
+
+def _layer_id(layer):
+    return "%s-k%d-s%d-d%d" % (layer.kind, layer.kernel[0], layer.stride, layer.dilation)
+
+
+class TestComplexityFollowsPrimitives:
+    """complexity counts FLOPs on the output sizes conv2d and
+    transpose_conv2d really produce: even effective kernels pad
+    keff // 2 and so gain a row, and a transpose conv with k != s gives
+    (n - 1) * s + k."""
+
+    @pytest.mark.parametrize("layer", _LAYERS, ids=_layer_id)
+    def test_one_layer(self, layer):
+        for hw in ((7, 6), (1, 5)):
+            g = np.random.default_rng(0).standard_normal(hw + (2,))
+            _, flops = _run_layer(g, layer)
+            assert complexity([layer], hw).flops == flops
+
+    @pytest.mark.parametrize("first", _LAYERS, ids=_layer_id)
+    def test_two_layers(self, first):
+        second = LayerSpec("conv", (2, 2), 2, 1, first.out_channels, 2)
+        g = np.random.default_rng(1).standard_normal((8, 8, 2))
+        mid, flops_1 = _run_layer(g, first)
+        _, flops_2 = _run_layer(mid, second)
+        assert complexity([first, second], (8, 8)).flops == flops_1 + flops_2
+
+    def test_even_kernel_and_transpose_chains(self):
+        # 8x8 -> 5x5 -> 5x5, and 8x8 -> 17x17 -> 17x17, at 4 channels
+        conv = parse_chain("conv 2 2 1 4\nconv 3 1 1 4\n")
+        tconv = parse_chain("tconv 3 2 1 4\nconv 1 1 1 4\n")
+        assert complexity(conv, (8, 8)).flops == 10400
+        assert complexity(tconv, (8, 8)).flops == 27680
+
+
 class TestLkaForward:
     def _specs(self, c, identity=False):
         if identity:

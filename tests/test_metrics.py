@@ -3,11 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamperc import kitti_io, metrics
+from streamperc.kitti_io import difficulty_of
 from streamperc.metrics import (
     DEFAULT_CLASSES,
     Difficulty,
     ap_r40,
-    difficulty_of,
     evaluate_pairs,
     match_frame,
     pr_curve,
@@ -106,7 +106,6 @@ class TestMatchFrame:
             raise AssertionError("difficulty recomputed")
 
         monkeypatch.setattr(kitti_io, "difficulty_of", fail)
-        monkeypatch.setattr(metrics, "difficulty_of", fail)
         res = match_frame(preds, gts, 0.5, Difficulty.EASY)
         assert res.det_records == [(0.9, "tp")]
         assert res.n_in_scope_gt == 1
@@ -145,6 +144,111 @@ class TestMatchFrameIouLookup:
         assert res.det_records == [(0.9, "tp"), (0.8, "fp")]
         assert res.n_in_scope_gt == 2
         assert calls == {"bev": 6 if kind == "bev" else 0, "3d": 6 if kind == "3d" else 0}
+
+
+def ref_match_frame(preds, gts, iou_threshold, level, iou_kind="bev", class_name=None):
+    """The former match_frame: index lists into a pre-filtered copy of gts,
+    a claimed set and a sorted index order. It reads metrics.iou_bev /
+    metrics.iou_3d through the module, so a patched recorder sees its calls."""
+    if class_name is not None:
+        gts = [g for g in gts if g.class_name in (class_name, "DontCare")]
+    in_scope = []
+    ignorable = []
+    gt_boxes = {}
+    for gi, g in enumerate(gts):
+        if g.class_name == "DontCare" and min(g.dims) <= 0.0:
+            continue
+        gt_boxes[gi] = g.box3d
+        if g.class_name != "DontCare" and g.difficulty <= level:
+            in_scope.append(gi)
+        else:
+            ignorable.append(gi)
+    iou = metrics.iou_bev if iou_kind == "bev" else metrics.iou_3d
+    claimed = set()
+    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
+    records = []
+    for pi in order:
+        det = preds[pi]
+        best_gt, best_iou = None, 0.0
+        for gi in in_scope:
+            if gi in claimed:
+                continue
+            v = iou(det, gt_boxes[gi])
+            if v >= iou_threshold and v > best_iou:
+                best_gt, best_iou = gi, v
+        if best_gt is not None:
+            claimed.add(best_gt)
+            records.append((det.score, "tp"))
+            continue
+        ignored = False
+        for gi in ignorable:
+            if iou(det, gt_boxes[gi]) >= iou_threshold:
+                ignored = True
+                break
+        if not ignored:
+            records.append((det.score, "fp"))
+    return metrics.FrameMatchResult(det_records=records, n_in_scope_gt=len(in_scope))
+
+
+# Overlapping centres on a 0.5 m grid, so boxes hit several others; few
+# distinct scores, so detections tie; heights, occlusions and truncations
+# on both sides of each difficulty boundary.
+_CENTRE_X = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 4.0])
+_DET = st.builds(
+    make_box, x=_CENTRE_X, z=st.sampled_from([10.0, 10.5]),
+    l=st.sampled_from([3.9, 2.0, 0.8]), yaw=st.sampled_from([0.0, 0.4]),
+    score=st.sampled_from([0.3, 0.6, 0.9]),
+)
+
+
+@st.composite
+def _gt_rows(draw):
+    class_name = draw(st.sampled_from(["Car", "Pedestrian", "Van", "DontCare"]))
+    dims = dict(l=draw(st.sampled_from([3.9, 2.0, 0.8])))
+    if class_name == "DontCare" and draw(st.booleans()):
+        dims = dict(h=-1.0, w=-1.0, l=-1.0)  # a 2D-only KITTI region
+    return make_gt(
+        class_name=class_name, x=draw(_CENTRE_X),
+        bbox_height=draw(st.integers(24, 41)), occlusion=draw(st.integers(0, 3)),
+        truncation=draw(st.sampled_from([0.0, 0.14, 0.15, 0.16, 0.29, 0.3, 0.31, 0.49, 0.5, 0.51])),
+        **dims,
+    )
+
+
+class TestMatchFrameMatchesReference:
+    """match_frame gives the former implementation's records and in-scope
+    count, and makes the same IoU calls in the same order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        preds=st.lists(_DET, max_size=6),
+        gts=st.lists(_gt_rows(), max_size=6),
+        iou_threshold=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
+        level=st.sampled_from(list(Difficulty)),
+        kind=st.sampled_from(["bev", "3d"]),
+        class_name=st.sampled_from([None, "Car", "Pedestrian"]),
+    )
+    def test_same_records_and_calls(self, preds, gts, iou_threshold, level, kind, class_name):
+        def run(fn):
+            calls = []
+
+            def recorder(name, real):
+                def wrapper(a, b):
+                    calls.append((id(a), id(b), name))
+                    return real(a, b)
+                return wrapper
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "iou_bev", recorder("bev", metrics.iou_bev))
+                mp.setattr(metrics, "iou_3d", recorder("3d", metrics.iou_3d))
+                res = fn(preds, gts, iou_threshold, level, kind, class_name=class_name)
+            return res, calls
+
+        got, got_calls = run(match_frame)
+        want, want_calls = run(ref_match_frame)
+        assert got.det_records == want.det_records
+        assert got.n_in_scope_gt == want.n_in_scope_gt
+        assert got_calls == want_calls
 
 
 def exhaustive_ap_oracle(preds, gts, iou_threshold, level, kind="bev"):
