@@ -31,6 +31,17 @@ def as_grid(data) -> np.ndarray:
     return g
 
 
+def check_layer(spec) -> None:
+    """Raise ValueError unless spec (a ConvSpec or alike) is a valid conv layer."""
+    kh, kw = spec.kernel
+    if min(kh, kw, spec.stride, spec.dilation, spec.groups, spec.in_channels, spec.out_channels) < 1:
+        raise ValueError("kernel, stride, dilation, groups and channels must be >= 1")
+    if spec.in_channels % spec.groups or spec.out_channels % spec.groups:
+        raise ValueError("in_channels and out_channels must be divisible by groups")
+    if spec.transpose and spec.dilation != 1:
+        raise ValueError("transpose convolution requires dilation 1")
+
+
 @dataclass
 class ConvSpec:
     in_channels: int
@@ -44,14 +55,8 @@ class ConvSpec:
     bias: Optional[np.ndarray] = None  # (out,)
 
     def __post_init__(self):
-        kh, kw = self.kernel
-        if min(kh, kw, self.stride, self.dilation, self.groups, self.in_channels, self.out_channels) < 1:
-            raise ValueError("kernel, stride, dilation, groups and channels must be >= 1")
-        if self.in_channels % self.groups or self.out_channels % self.groups:
-            raise ValueError("in_channels and out_channels must be divisible by groups")
-        if self.transpose and self.dilation != 1:
-            raise ValueError("transpose convolution requires dilation 1")
-        shape = (self.out_channels, self.in_channels // self.groups, kh, kw)
+        check_layer(self)
+        shape = (self.out_channels, self.in_channels // self.groups) + tuple(self.kernel)
         if self.weights is None:
             self.weights = np.zeros(shape)
         else:

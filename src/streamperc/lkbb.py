@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .grid_ops import ConvSpec, as_grid, conv2d, conv_output_size, transpose_conv2d
+from .grid_ops import ConvSpec, as_grid, check_layer, conv2d, conv_output_size, transpose_conv2d
 
 
 @dataclass
@@ -35,6 +35,15 @@ class LayerSpec:
     @property
     def transpose(self) -> bool:
         return self.kind == "tconv"
+
+    def __post_init__(self):
+        if self.kind not in ("conv", "dwconv", "tconv"):
+            raise ValueError("unknown layer kind %r" % (self.kind,))
+        if self.kind == "dwconv" and self.out_channels != self.in_channels:
+            raise ValueError("depthwise layers keep channel count")
+        check_layer(self)
+        if self.kernel[0] != self.kernel[1]:
+            raise ValueError("kernel must be square, got %r" % (self.kernel,))
 
 
 @dataclass
@@ -151,22 +160,15 @@ def parse_chain(text: str) -> List[LayerSpec]:
     """
     chain = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if len(parts) not in (5, 6):
-            raise ValueError("line %d: expected 5 or 6 fields" % lineno)
-        kind = parts[0]
-        if kind not in ("conv", "dwconv", "tconv"):
-            raise ValueError("line %d: unknown layer kind %r" % (lineno, kind))
-        k, s, d, cin = (int(v) for v in parts[1:5])
-        cout = int(parts[5]) if len(parts) == 6 else cin
-        if min(k, s, d, cin, cout) < 1:
-            raise ValueError(
-                "line %d: kernel, stride, dilation and channels must be >= 1" % lineno
-            )
-        if kind == "dwconv" and cout != cin:
-            raise ValueError("line %d: depthwise layers keep channel count" % lineno)
-        chain.append(LayerSpec(kind, (k, k), s, d, cin, cout))
+        try:
+            if len(parts) not in (5, 6):
+                raise ValueError("expected 5 or 6 fields")
+            k, s, d, cin = (int(v) for v in parts[1:5])
+            cout = int(parts[5]) if len(parts) == 6 else cin
+            chain.append(LayerSpec(parts[0], (k, k), s, d, cin, cout))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from exc
     return chain

@@ -581,25 +581,38 @@ class TestLkbb:
         assert payload["receptive_field"] == 23
         assert payload["params"] == 32 * 25 + 32 * 49 + 32 * 32
 
-    def test_bad_chain_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, hw, err", [
+        pytest.param("pool 2 2 1 8", None, "line 1: unknown layer kind 'pool'", id="unknown-kind"),
+        pytest.param("conv 3 0 1 4", None, "line 1: kernel, stride", id="stride-0"),
+        pytest.param("dwconv 3 1 1 0", None, "line 1: kernel, stride", id="channels-0"),
+        pytest.param("conv -3 1 1 4", None, "line 1: kernel, stride", id="kernel-negative"),
+        pytest.param("conv 3 1 1 -4", None, "line 1: kernel, stride", id="channels-negative"),
+        pytest.param("conv 3 1 0 4", None, "line 1: kernel, stride", id="dilation-0"),
+        pytest.param("tconv 2 2 1 8 0", None, "line 1: kernel, stride", id="out-channels-0"),
+        pytest.param("conv %d 1 1 4" % 10**400, None,
+                     "chain too large for a float receptive field", id="kernel-overflows-float"),
+        pytest.param("conv 3 1 1 8", (0, 10), "input height and width must be >= 1", id="height-0"),
+        pytest.param("conv 3 1 1 8", (10, 0), "input height and width must be >= 1", id="width-0"),
+        pytest.param("conv 3 1 1 8", (-5, 10), "input height and width must be >= 1",
+                     id="height-negative"),
+        pytest.param("conv 3 1 1 8", (10, -5), "input height and width must be >= 1",
+                     id="width-negative"),
+        pytest.param("tconv 3 2 2 4", (8, 8), "line 1: transpose convolution requires dilation 1",
+                     id="tconv-dilated"),
+        pytest.param("dwconv 3 1 1 4 6", None, "line 1: depthwise layers keep channel count",
+                     id="dwconv-changes-channels"),
+        pytest.param("conv x 1 1 4", None, "line 1: invalid literal for int()", id="kernel-not-int"),
+        pytest.param("conv 3 1", None, "line 1: expected 5 or 6 fields", id="too-few-fields"),
+    ])
+    def test_is_data_error(self, tmp_path, capsys, line, hw, err):
         chain = tmp_path / "chain.txt"
-        # unknown kind; zero stride, channels, dilation or out_channels;
-        # negative kernel or channels; a kernel too large for a float
-        for line in ("pool 2 2 1 8", "conv 3 0 1 4", "dwconv 3 1 1 0",
-                     "conv -3 1 1 4", "conv 3 1 1 -4", "conv 3 1 0 4", "tconv 2 2 1 8 0",
-                     "conv %d 1 1 4" % 10**400):
-            chain.write_text(line + "\n")
-            assert cli.main(["lkbb", "--chain", str(chain)]) == 3, line
-            assert "data error" in capsys.readouterr().err, line
-
-    @pytest.mark.parametrize("height, width", [(0, 10), (10, 0), (-5, 10), (10, -5)])
-    def test_input_side_below_one_is_data_error(self, tmp_path, capsys, height, width):
-        chain = tmp_path / "chain.txt"
-        chain.write_text("conv 3 1 1 8\n")
-        assert cli.main(["lkbb", "--chain", str(chain),
-                         "--height", str(height), "--width", str(width)]) == 3
+        chain.write_text(line + "\n")
+        argv = ["lkbb", "--chain", str(chain)]
+        if hw is not None:
+            argv += ["--height", str(hw[0]), "--width", str(hw[1])]
+        assert cli.main(argv) == 3
         captured = capsys.readouterr()
-        assert "data error" in captured.err and captured.out == ""
+        assert captured.err.startswith("data error: " + err) and captured.out == ""
 
 
 class TestFootprintCache:

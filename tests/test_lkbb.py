@@ -285,3 +285,51 @@ class TestParseChain:
         except ValueError:
             return
         assert report.rf >= 1 and report.params >= 0 and report.flops >= 0
+
+
+class TestLayerSpecRule:
+    """LayerSpec checks itself with ConvSpec's rule (grid_ops.check_layer)
+    and adds only the chain grammar's: a known kind, a depthwise layer
+    keeps its channel count, and a square kernel."""
+
+    @pytest.mark.parametrize("kind, k, stride, dilation, cin, cout", [
+        pytest.param("tconv", 3, 2, 2, 4, 4, id="tconv-dilation-2"),
+        pytest.param("conv", 3, 0, 1, 4, 4, id="stride-0"),
+        pytest.param("tconv", 3, 0, 1, 4, 4, id="tconv-stride-0"),
+        pytest.param("conv", 0, 1, 1, 4, 4, id="kernel-0"),
+        pytest.param("conv", 3, 1, 1, 0, 4, id="in-channels-0"),
+        pytest.param("conv", 3, 1, 1, 4, 0, id="out-channels-0"),
+        pytest.param("dwconv", 3, 1, 1, 0, 0, id="dwconv-channels-0"),
+    ])
+    def test_shared_rule_same_message(self, kind, k, stride, dilation, cin, cout):
+        with pytest.raises(ValueError) as conv_err:
+            ConvSpec(cin, cout, (k, k), stride, dilation,
+                     groups=cin if kind == "dwconv" else 1, transpose=kind == "tconv")
+        with pytest.raises(ValueError) as layer_err:
+            LayerSpec(kind, (k, k), stride, dilation, cin, cout)
+        assert str(layer_err.value) == str(conv_err.value)
+
+    @pytest.mark.parametrize("kind, kernel, cin, cout, match", [
+        pytest.param("pool", (3, 3), 4, 4, "unknown layer kind", id="pool"),
+        pytest.param("dwconv", (3, 3), 4, 6, "depthwise layers keep", id="dwconv-4-to-6"),
+        pytest.param("conv", (1, 7), 4, 4, "kernel must be square", id="kernel-1x7"),
+        pytest.param("conv", (7, 1), 4, 4, "kernel must be square", id="kernel-7x1"),
+    ])
+    def test_chain_only_rules(self, kind, kernel, cin, cout, match):
+        with pytest.raises(ValueError, match=match):
+            LayerSpec(kind, kernel, in_channels=cin, out_channels=cout)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["conv", "dwconv", "tconv"]),
+        st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 3),
+        st.integers(-1, 3), st.integers(-1, 3),
+    ), max_size=4), st.integers(1, 16), st.integers(1, 16))
+    def test_hand_built_chain_is_rejected_or_well_formed(self, layers, h, w):
+        try:
+            chain = [LayerSpec(kind, (k, k), s, d, cin, cout)
+                     for kind, k, s, d, cin, cout in layers]
+        except ValueError:
+            return
+        report = complexity(chain, (h, w))
+        assert report.rf >= 1 and report.jump > 0 and report.params >= 0 and report.flops >= 0
