@@ -139,8 +139,17 @@ def _label_options(args) -> _LabelOptions:
     trace = None
     if args.mode != "offline":
         if args.latency_trace:
+            trace = []
             with open(args.latency_trace) as f:
-                trace = [float(line) for line in f if line.strip()]
+                for lineno, raw in enumerate(f, start=1):
+                    if not raw.strip():
+                        continue
+                    try:
+                        trace.append(float(raw))
+                    except ValueError as exc:
+                        raise ParseError(
+                            "latency trace line %d: not a number: %r" % (lineno, raw.strip())
+                        ) from exc
         stream = dict(
             interval_ms=args.interval_ms,
             latency="trace" if args.latency_trace else args.latency_ms,

@@ -17,7 +17,7 @@ import numpy as np
 
 FGRD_MAGIC = b"FGRD"
 FGRD_VERSION = 1
-_DEPTHWISE_ROW_BLOCK = 16  # output rows per depthwise conv2d accumulation block
+_ROW_BLOCK = 16  # output rows per conv2d accumulation block
 
 
 def as_grid(data) -> np.ndarray:
@@ -148,11 +148,14 @@ def bilinear_resize(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def _tap_product(x: np.ndarray, w_tap: np.ndarray, groups: int) -> np.ndarray:
     """One kernel tap, all output channels: (..., in) by (out, in/groups) -> (..., out).
 
-    Bit-identical to one matrix-vector product per output channel; a batched
-    gemm or einsum is not, as it sums in another order.
+    Bit-identical, once added to a sum that starts at +0.0, to one matrix-vector
+    product per output channel, or one multiply when a group has one input
+    channel; a batched gemm or einsum is not, as it sums in another order.
     """
     out_c, in_per_group = w_tap.shape
     starts = np.arange(out_c) // (out_c // groups) * in_per_group
+    if in_per_group == 1:
+        return (x[..., starts] if out_c > groups else x) * w_tap[:, 0]
     return np.stack([x[..., i : i + in_per_group] @ w for i, w in zip(starts, w_tap)], axis=-1)
 
 
@@ -175,26 +178,16 @@ def conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     ho = conv_output_size(h, kh, s, d)
     wo = conv_output_size(w, kw, s, d)
     out = np.zeros((ho, wo, spec.out_channels))
-    # One input channel per group: each tap multiplies a cache-sized block of output
-    # rows into one reused buffer, still adding taps in (ki, kj) order from 0.0.
-    depthwise = spec.weights.shape[1] == 1
-    block = _DEPTHWISE_ROW_BLOCK if depthwise else ho
-    out_dw = out.reshape(ho, wo, spec.groups, -1)
-    w_dw = spec.weights[:, 0].reshape(spec.groups, -1, kh, kw)
-    buf = np.empty((min(block, ho),) + out_dw.shape[1:]) if depthwise else None
-    for r0 in range(0, ho, block):
-        n = min(block, ho - r0)
+    # Each tap adds into a cache-sized block of output rows, in (ki, kj) order from 0.0.
+    for r0 in range(0, ho, _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
         for ki in range(kh):
             for kj in range(kw):
                 patch = padded[
-                    ki * d + r0 * s : ki * d + (r0 + n - 1) * s + 1 : s,
+                    ki * d : ki * d + (ho - 1) * s + 1 : s,
                     kj * d : kj * d + (wo - 1) * s + 1 : s,
                 ]
-                if depthwise:
-                    np.multiply(patch[..., None], w_dw[:, :, ki, kj], out=buf[:n])
-                    out_dw[r0 : r0 + n] += buf[:n]
-                else:
-                    out[r0 : r0 + n] += _tap_product(patch, spec.weights[:, :, ki, kj], spec.groups)
+                out[rows] += _tap_product(patch[rows], spec.weights[:, :, ki, kj], spec.groups)
     if spec.bias is not None:
         out += spec.bias
     return out
@@ -249,10 +242,11 @@ def read_fgrd(path) -> np.ndarray:
         version, h, w, c = struct.unpack("<4I", header[4:])
         if version != FGRD_VERSION:
             raise ValueError("unsupported FGRD version %d" % version)
-        n_bytes = h * w * c * 4
-        if os.fstat(f.fileno()).st_size < 20 + n_bytes:
+        n_bytes, size = h * w * c * 4, os.fstat(f.fileno()).st_size
+        if size != 20 + n_bytes:
             raise ValueError(
-                "truncated FGRD payload: header claims %dx%dx%d floats" % (h, w, c)
+                "%s FGRD payload: header claims %dx%dx%d floats, a %d-byte file; it has %d bytes"
+                % ("truncated" if size < 20 + n_bytes else "over-long", h, w, c, 20 + n_bytes, size)
             )
         data = np.frombuffer(f.read(n_bytes), dtype="<f4")
     return data.reshape(h, w, c).astype(float)

@@ -54,12 +54,12 @@ def build_schedule(
         raise ValueError("interval_ms must be finite and at least 1 ns")
     if len(latencies_ms) != n_frames:
         raise ValueError("latency count must equal the frame count")
-    if not all(math.isfinite(v * _NS_PER_MS) and v >= 0 for v in latencies_ms):
-        raise ValueError("latencies must be finite and >= 0")
     interval = _ns(interval_ms)
     events = []
     available = 0
     for k, latency in enumerate(latencies_ms):
+        if not (math.isfinite(latency * _NS_PER_MS) and latency >= 0):
+            raise ValueError("frame %d: latency %r ms must be finite and >= 0" % (k, latency))
         arrival = k * interval
         if skip_stale and arrival < available:
             events.append(FrameEvent(k, None))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamperc import cli, feature_flow, geometry, streaming_sim
-from streamperc.grid_ops import read_fgrd, write_fgrd
+from streamperc.grid_ops import fgrd_bytes, read_fgrd, write_fgrd
 from streamperc.kitti_io import format_tracking_labels
 
 from conftest import make_gt, textured_grid, translate_grid
@@ -507,32 +507,38 @@ class TestFlow:
         assert "flow_max_abs" in capsys.readouterr().out
 
     @pytest.mark.parametrize("raw, message", [
-        pytest.param(b"FGRD\x01\x00\x00", "truncated FGRD", id="truncated-header"),
+        pytest.param(b"FGRD\x01\x00\x00", "truncated FGRD header: 7 of 20 bytes",
+                     id="truncated-header"),
         pytest.param(b"FGRD" + struct.pack("<4I", 1, 8, 8, 4) + b"\x00" * 40,
-                     "truncated FGRD", id="header-claims-more-data"),
+                     "truncated FGRD payload: header claims 8x8x4 floats, a 1044-byte file; "
+                     "it has 60 bytes", id="header-claims-more-data"),
         pytest.param(b"FGRD" + struct.pack("<4I", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1),
-                     "truncated FGRD", id="header-claims-beyond-any-file"),
-        pytest.param(b"FGRD" + struct.pack("<4I", 1, 0, 0, 0), "zero-length axis",
+                     "truncated FGRD payload", id="header-claims-beyond-any-file"),
+        pytest.param(b"FGRD" + struct.pack("<4I", 1, 0, 0, 0), "grid has a zero-length axis",
                      id="header-0x0x0"),
-        pytest.param(b"FGRD" + struct.pack("<4I", 1, 4, 4, 0), "zero-length axis",
+        pytest.param(b"FGRD" + struct.pack("<4I", 1, 4, 4, 0), "grid has a zero-length axis",
                      id="header-4x4x0"),
+        # a (4, 4, 4) grid whose header claims (4, 4, 2)
+        pytest.param(b"FGRD" + struct.pack("<4I", 1, 4, 4, 2)
+                     + fgrd_bytes(np.ones((4, 4, 4)))[20:],
+                     "over-long FGRD payload: header claims 4x4x2 floats, a 148-byte file; "
+                     "it has 276 bytes", id="header-claims-less-data"),
+        pytest.param(fgrd_bytes(np.ones((4, 4, 4))) + b"\x00" * 3,
+                     "over-long FGRD payload: header claims 4x4x4 floats, a 276-byte file; "
+                     "it has 279 bytes", id="trailing-bytes"),
+        pytest.param(None, "[Errno 2] No such file or directory", id="missing-file"),
     ])
     def test_corrupt_grid_is_data_error(self, tmp_path, capsys, raw, message):
         write_fgrd(str(tmp_path / "cur.fgrd"), textured_grid(8, 8, 4))
-        (tmp_path / "bad.fgrd").write_bytes(raw)
+        if raw is not None:
+            (tmp_path / "bad.fgrd").write_bytes(raw)
         rc = cli.main(["flow", "--current", str(tmp_path / "cur.fgrd"),
                        "--previous", str(tmp_path / "bad.fgrd"),
                        "--output", str(tmp_path / "o")])
         assert rc == 3
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: " + message) and captured.out == ""
         assert not list(tmp_path.glob("o*"))
-
-    def test_missing_input_is_data_error(self, tmp_path):
-        write_fgrd(str(tmp_path / "cur.fgrd"), textured_grid(8, 8, 2))
-        rc = cli.main(["flow", "--current", str(tmp_path / "cur.fgrd"),
-                       "--previous", str(tmp_path / "nope.fgrd"),
-                       "--output", str(tmp_path / "o")])
-        assert rc == 3
 
 
 class TestMcl:
@@ -828,47 +834,87 @@ class TestPathThroughFile:
         assert set(tmp_path.iterdir()) == before
 
 
+def label_line(**kw):
+    """One label line of make_gt(**kw), without its newline."""
+    return format_tracking_labels({0: [make_gt(**kw)]}).rstrip("\n")
+
+
+# (file, line number, text, expected message): line n of the file reads text
+# (n one past the end appends it). The files are simple_world(2), four lines
+# each, and a two-line latency trace of zeros.
+BAD_INPUT_ROWS = {
+    "nan-dims": ("det", 3, label_line(frame=1, h=math.nan, score=0.9),
+                 "line 3: non-finite numeric field"),
+    "inf-location": ("det", 3, label_line(frame=1, x=math.inf, score=0.9),
+                     "line 3: non-finite numeric field"),
+    "nan-score": ("det", 3, label_line(frame=1, score=math.nan),
+                  "line 3: non-finite numeric field"),
+    # the range crop would drop this box, but it is still malformed
+    "out-of-range-zero-dim-det": ("det", 5, label_line(track_id=5, z=80.0, h=0.0, score=0.9),
+                                  "line 5: dims must be positive"),
+    # neither ground-truth row is ever matched, but both are malformed
+    "unevaluated-class-zero-dim-gt": (
+        "gt", 5, label_line(frame=1, track_id=5, class_name="Van", h=0.0),
+        "line 5: dims must be positive"),
+    "out-of-range-zero-dim-gt": ("gt", 5, label_line(frame=1, track_id=5, z=80.0, h=0.0),
+                                 "line 5: dims must be positive"),
+    # the schedule starts at frame 0: a negative frame used to be scored by
+    # eval and dropped by the streaming modes
+    "negative-frame": ("gt", 2, label_line(frame=-1, track_id=1, x=6.0),
+                       "line 2: negative frame index -1"),
+    "huge-frame": ("gt", 2, label_line(frame=1000000, track_id=1, x=6.0),
+                   "line 2: frame index 1000000 is not below 1000000"),
+    "16-fields": ("gt", 2, label_line(track_id=1, x=6.0).rsplit(" ", 1)[0],
+                  "line 2: expected >=17 fields, got 16"),
+    "non-numeric-height": ("gt", 2, label_line(track_id=1, x=6.0).replace("1.500000", "abc"),
+                           "line 2: non-numeric field (could not convert string to float: 'abc')"),
+    "trace-not-a-number": ("trace", 2, "abc", "latency trace line 2: not a number: 'abc'"),
+    # blank trace lines are skipped: the line and the frame differ
+    "trace-not-a-number-after-blank": ("trace", 2, "\nabc",
+                                       "latency trace line 3: not a number: 'abc'"),
+    "trace-negative": ("trace", 2, "-5", "frame 1: latency -5.0 ms must be finite and >= 0"),
+    "trace-nan": ("trace", 2, "nan", "frame 1: latency nan ms must be finite and >= 0"),
+    "trace-overflow": ("trace", 2, "1e400", "frame 1: latency inf ms must be finite and >= 0"),
+    "trace-negative-after-blank": ("trace", 2, "\n-5",
+                                   "frame 1: latency -5.0 ms must be finite and >= 0"),
+}
+
+
 class TestBadLabels:
-    @pytest.mark.parametrize("bad", [
-        pytest.param({"h": float("nan")}, id="nan-dims"),
-        pytest.param({"x": float("inf")}, id="inf-location"),
-        pytest.param({"score": float("nan")}, id="nan-score"),
+    @pytest.mark.parametrize("command, row", [
+        pytest.param(command, row, id="%s-%s" % (row, command))
+        for row, (name, _, _, _) in BAD_INPUT_ROWS.items()
+        for command in ("eval", "stream-eval", "streamer")
+        if name != "trace" or command != "eval"  # eval reads no latency
     ])
-    def test_non_finite_field_is_data_error(self, tmp_path, capsys, bad):
-        gt = write_labels(tmp_path / "gt.txt", simple_world(2))
-        dets = simple_world(2, score=0.9)
-        dets[1][0] = make_gt(frame=1, z=10.0, **{"score": 0.9, **bad})
-        det = write_labels(tmp_path / "det.txt", dets)
-        rc = cli.main(["eval", "--gt", gt, "--det", det, "--output", str(tmp_path / "r")])
-        assert rc == 3
-        assert "line 3: non-finite" in capsys.readouterr().err
+    def test_is_data_error(self, tmp_path, capsys, monkeypatch, command, row):
+        name, lineno, text, message = BAD_INPUT_ROWS[row]
+        built, build = [], streaming_sim.build_schedule
 
-    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
-    def test_out_of_range_zero_dim_is_data_error(self, tmp_path, capsys, command):
-        # the range crop would drop this box, but it is still malformed
-        gt = write_labels(tmp_path / "gt.txt", simple_world(2))
-        dets = simple_world(2, score=0.9)
-        dets[0].append(make_gt(track_id=5, z=80.0, h=0.0, score=0.9))
-        det = write_labels(tmp_path / "det.txt", dets)
-        rc = cli.main([command, "--gt", gt, "--det", det, "--output", str(tmp_path / "r")])
-        assert rc == 3
-        assert "dims must be positive" in capsys.readouterr().err
+        def recording(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
 
-    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
-    @pytest.mark.parametrize("row", [
-        pytest.param({"class_name": "Van", "z": 10.0}, id="unevaluated-class"),
-        pytest.param({"class_name": "Car", "z": 80.0}, id="out-of-range"),
-    ])
-    def test_zero_dim_ground_truth_is_data_error(self, tmp_path, capsys, command, row):
-        # neither row is ever matched, but both are malformed
-        world = simple_world(2)
-        world[1].append(make_gt(frame=1, track_id=5, h=0.0, **row))
-        gt = write_labels(tmp_path / "gt.txt", world)
-        det = write_labels(tmp_path / "det.txt", simple_world(2, score=0.9))
-        rc = cli.main([command, "--gt", gt, "--det", det, "--output", str(tmp_path / "r")])
-        assert rc == 3
-        assert "line 5: dims must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "r.csv").exists()
+        monkeypatch.setattr(streaming_sim, "build_schedule", recording)
+        files = {
+            "gt": format_tracking_labels(simple_world(2)).splitlines(),
+            "det": format_tracking_labels(simple_world(2, score=0.9)).splitlines(),
+            "trace": ["0", "0"],
+        }
+        files[name][lineno - 1 : lineno] = [text]
+        for key, lines in files.items():
+            (tmp_path / (key + ".txt")).write_text("\n".join(lines) + "\n")
+        argv = [command, "--gt", str(tmp_path / "gt.txt"), "--det", str(tmp_path / "det.txt"),
+                "--output", str(tmp_path / "r")]
+        if name == "trace":
+            argv += ["--latency-trace", str(tmp_path / "trace.txt")]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: " + message) and captured.out == ""
+        assert not list(tmp_path.glob("r*"))
+        # a malformed label file is rejected while parsing, before any
+        # schedule is built: a huge frame index would size one
+        assert name == "trace" or built == []
 
     @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
     def test_dontcare_without_box_is_skipped(self, tmp_path, command):
@@ -884,36 +930,6 @@ class TestBadLabels:
                              "--output", out, "--no-range-filter"]) == 0
             csvs.append((tmp_path / (name + ".csv")).read_text())
         assert csvs[0] == csvs[1]
-
-    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
-    def test_negative_frame_is_data_error(self, tmp_path, capsys, command):
-        # the schedule starts at frame 0: a negative frame used to be scored
-        # by eval and dropped by the streaming modes
-        gt_text = format_tracking_labels(simple_world(2))
-        gt_lines = gt_text.splitlines()
-        gt_lines[1] = "-1" + gt_lines[1][1:]
-        (tmp_path / "gt.txt").write_text("\n".join(gt_lines) + "\n")
-        det = write_labels(tmp_path / "det.txt", simple_world(2, score=0.9))
-        rc = cli.main([command, "--gt", str(tmp_path / "gt.txt"), "--det", det,
-                       "--output", str(tmp_path / "r")])
-        assert rc == 3
-        assert "line 2: negative frame" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
-    def test_huge_frame_is_data_error(self, tmp_path, capsys, monkeypatch, command):
-        # rejected while parsing, before any schedule is built
-        def fail(*args, **kwargs):
-            raise AssertionError("schedule built")
-
-        monkeypatch.setattr(streaming_sim, "build_schedule", fail)
-        gt_lines = format_tracking_labels(simple_world(2)).splitlines()
-        gt_lines[1] = "1000000" + gt_lines[1][1:]
-        (tmp_path / "gt.txt").write_text("\n".join(gt_lines) + "\n")
-        det = write_labels(tmp_path / "det.txt", simple_world(2, score=0.9))
-        rc = cli.main([command, "--gt", str(tmp_path / "gt.txt"), "--det", det,
-                       "--output", str(tmp_path / "r")])
-        assert rc == 3
-        assert "line 2: frame index 1000000 is not below" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -146,7 +146,7 @@ def random_spec(rng, cin, cout, k, bias=False, **kw):
                     bias=rng.normal(size=cout) if bias else None, **kw)
 
 
-# (37, 9) spans several 16-row depthwise blocks with a ragged last one.
+# (37, 9) spans several 16-row conv2d blocks with a ragged last one.
 GRID_SHAPES = [(64, 64), (13, 7), (37, 9)]
 
 
@@ -316,16 +316,6 @@ class TestConv2d:
         spec = random_spec(rng, cin, cout, k, **opts)
         assert conv2d(g, spec).tobytes() == loop_conv2d(g, spec).tobytes()
 
-    @pytest.mark.parametrize("hw", GRID_SHAPES)
-    @pytest.mark.parametrize("bias", [False, True])
-    def test_depthwise_bit_identical_on_half_zero_grid(self, rng, hw, bias):
-        # zero inputs times negative weights give -0.0 products; the bytes,
-        # signed zeros included, must still match the loop
-        g = rng.normal(size=hw + (4,))
-        g[: hw[0] // 2] = 0.0
-        spec = random_spec(rng, 4, 4, 5, bias, groups=4)
-        assert conv2d(g, spec).tobytes() == loop_conv2d(g, spec).tobytes()
-
     def test_linearity(self, rng):
         a = rng.normal(size=(6, 6, 3))
         b = rng.normal(size=(6, 6, 3))
@@ -381,6 +371,33 @@ class TestTransposeConv2d:
     def test_requires_transpose_spec(self):
         with pytest.raises(ValueError):
             transpose_conv2d(textured_grid(2, 2, 1), ConvSpec(1, 1, (2, 2), stride=2))
+
+
+class TestSignedZeros:
+    """Zero inputs times negative weights give -0.0 products. The bytes,
+    signed zeros included, must still match the channel loops, also where a
+    tap's product is a single multiply (one input channel per group)."""
+
+    @pytest.mark.parametrize("hw", GRID_SHAPES)
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("conv, oracle, cin, cout, k, opts", [
+        pytest.param(conv2d, loop_conv2d, 4, 4, 5, dict(groups=4), id="conv-depthwise"),
+        pytest.param(conv2d, loop_conv2d, 4, 8, 3, dict(groups=4), id="conv-multiplier-2"),
+        pytest.param(conv2d, loop_conv2d, 1, 4, 3, dict(), id="conv-dense-one-input"),
+        pytest.param(transpose_conv2d, loop_transpose_conv2d, 4, 4, 2,
+                     dict(stride=2, groups=4, transpose=True), id="tconv-depthwise"),
+        pytest.param(transpose_conv2d, loop_transpose_conv2d, 4, 8, 2,
+                     dict(stride=2, groups=4, transpose=True), id="tconv-multiplier-2"),
+        pytest.param(transpose_conv2d, loop_transpose_conv2d, 1, 4, 2,
+                     dict(stride=2, transpose=True), id="tconv-dense-one-input"),
+        pytest.param(transpose_conv2d, loop_transpose_conv2d, 4, 4, 3,
+                     dict(stride=2, groups=4, transpose=True), id="tconv-overlapping-taps"),
+    ])
+    def test_half_zero_grid(self, rng, conv, oracle, cin, cout, k, opts, bias, hw):
+        g = rng.normal(size=hw + (cin,))
+        g[: hw[0] // 2] = 0.0
+        spec = random_spec(rng, cin, cout, k, bias, **opts)
+        assert conv(g, spec).tobytes() == oracle(g, spec).tobytes()
 
 
 class TestFgrd:
