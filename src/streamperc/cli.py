@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -93,84 +92,71 @@ def _boxes_to_preds(boxes: List[LabeledBox], class_ids: Dict[str, int]) -> List[
     return [b.to_box3d(class_ids[b.class_name]) for b in boxes if b.class_name in class_ids]
 
 
-def _parse_classes(args) -> Tuple[List[str], Dict[str, int]]:
-    """Class names in order and their ids; a name given twice keeps the
-    index of its last position, as metrics.cell_records numbers it."""
-    classes = [c.strip() for c in args.classes.split(",") if c.strip()]
-    if not classes:
+def _parse_classes(args) -> Dict[str, int]:
+    """Parse args.classes in place into the class names in order; return
+    their ids: a name given twice keeps the index of its last position, as
+    metrics.cell_records numbers it."""
+    args.classes = [c.strip() for c in args.classes.split(",") if c.strip()]
+    if not args.classes:
         raise ParseError("--classes names no class")
-    return classes, {name: i for i, name in enumerate(classes)}
+    return {name: i for i, name in enumerate(args.classes)}
 
 
-def _parse_thresholds(args) -> List[float]:
-    thresholds = [float(v) for v in args.iou.split(",") if v]
-    if not thresholds:
+def _number(text: str, message: str) -> float:
+    """float(text), or a ParseError of message % text."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(message % text) from None
+
+
+def _label_options(args) -> Tuple[Dict[str, int], dict]:
+    """Parse the options of eval, stream-eval or streamer in place, each
+    once: the classes, the IoU thresholds and the latency trace (per-frame
+    latencies, or None for a constant). Return the class ids and the
+    report's "config" object."""
+    class_ids = _parse_classes(args)
+    args.iou = [_number(v, "--iou threshold %r is not a number") for v in args.iou.split(",") if v]
+    if not args.iou:
         raise ParseError("--iou names no threshold")
-    for thr in thresholds:
+    for thr in args.iou:
         if not 0.0 < thr <= 1.0:
             raise ParseError("--iou threshold %r is outside (0, 1]" % thr)
-    return thresholds
-
-
-@dataclass
-class _LabelOptions:
-    """The options of eval, stream-eval or streamer, each parsed once."""
-
-    classes: List[str]
-    class_ids: Dict[str, int]
-    thresholds: List[float]
-    config: dict  # the report's "config" object
-    stream: dict  # interval_ms, latency (ms or "trace") and skip_stale
-    trace: Optional[List[float]]  # per-frame latencies, or None for a constant
-
-
-def _label_options(args) -> _LabelOptions:
-    classes, class_ids = _parse_classes(args)
-    thresholds = _parse_thresholds(args)
     config = {
         "mode": args.mode,
-        "classes": classes,
-        "iou_thresholds": thresholds,
+        "classes": args.classes,
+        "iou_thresholds": args.iou,
         "range_filter": not args.no_range_filter,
         "eval_range": DEFAULT_EVAL_RANGE,
     }
-    # eval reads no stream option: offline AP is sAP at zero latency
-    stream = {"interval_ms": DEFAULTS["interval_ms"], "latency": 0.0, "skip_stale": False}
-    trace = None
-    if args.mode != "offline":
-        if args.latency_trace:
-            trace = []
-            with open(args.latency_trace) as f:
-                for lineno, raw in enumerate(f, start=1):
-                    if not raw.strip():
-                        continue
-                    try:
-                        trace.append(float(raw))
-                    except ValueError as exc:
-                        raise ParseError(
-                            "latency trace line %d: not a number: %r" % (lineno, raw.strip())
-                        ) from exc
-        stream = dict(
-            interval_ms=args.interval_ms,
-            latency="trace" if args.latency_trace else args.latency_ms,
-            skip_stale=args.skip_stale,
-        )
-        config.update(stream)
-    return _LabelOptions(classes, class_ids, thresholds, config, stream, trace)
+    if args.mode == "offline":  # eval reads no stream option: offline AP is sAP at zero latency
+        args.interval_ms, args.latency_ms = DEFAULTS["interval_ms"], 0.0
+        args.skip_stale, args.latency_trace = False, None
+        return class_ids, config
+    latency = "trace" if args.latency_trace else args.latency_ms
+    config.update(interval_ms=args.interval_ms, latency=latency, skip_stale=args.skip_stale)
+    path, args.latency_trace = args.latency_trace, None
+    if path:
+        with open(path) as f:
+            args.latency_trace = [
+                _number(line, "latency trace line %d: not a number: %%r" % lineno)
+                for lineno, line in enumerate(map(str.strip, f), start=1) if line
+            ]
+    return class_ids, config
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _ap_report(args, opts: _LabelOptions, pairs, missing_frames, pr_dump=True):
+def _ap_report(args, config, pairs, missing_frames, pr_dump=True):
     """Evaluate the pairs. Return the files (the AP table and the missing
     frames as .json, the table as .csv and, unless pr_dump is False, the
     precision-recall curves as _pr.dat: gnuplot blocks of recall precision
     score) and the table as stdout text."""
-    cells = metrics.evaluate_pairs(pairs, opts.classes, opts.thresholds)
+    cells = metrics.evaluate_pairs(pairs, args.classes, args.iou)
     payload = {
-        "config": opts.config,
+        "config": config,
         "results": [
             {"class": c.class_name, "kind": c.iou_kind, "iou": c.iou_threshold,
              "level": c.level, "ap": c.ap}
@@ -191,7 +177,7 @@ def _ap_report(args, opts: _LabelOptions, pairs, missing_frames, pr_dump=True):
     if pr_dump:
         lines = []
         for cls_name, kind, thr, level, records, n_gt in metrics.cell_records(
-            pairs, opts.classes, opts.thresholds
+            pairs, args.classes, args.iou
         ):
             lines.append("# %s %s iou=%.2f %s\n" % (cls_name, kind, thr, level.name.lower()))
             for score, prec, rec in metrics.pr_curve(records, n_gt):
@@ -207,7 +193,7 @@ def _ap_report(args, opts: _LabelOptions, pairs, missing_frames, pr_dump=True):
     return files, stdout
 
 
-def _stream_sequences(args, opts: _LabelOptions):
+def _stream_sequences(args, class_ids: Dict[str, int]):
     """Yield (schedule, outputs, gts, missing frames) per sequence.
 
     The schedule simulates the worker on the sequence's frames, 0 to the
@@ -217,55 +203,53 @@ def _stream_sequences(args, opts: _LabelOptions):
     with no detection line. Every sequence uses the first n_frames entries
     of the one latency trace.
     """
-    use_range = opts.config["range_filter"]
+    trace = args.latency_trace
     for name, gts, dets in _load_sequences(args.gt, args.det):
         n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
-        if opts.trace is None:
-            latencies = [opts.stream["latency"]] * n_frames
-        elif len(opts.trace) < n_frames:
-            raise ParseError(
-                "latency trace has %d entries for %d frames" % (len(opts.trace), n_frames)
-            )
+        if trace is None:
+            latencies = [args.latency_ms] * n_frames
+        elif len(trace) < n_frames:
+            raise ParseError("latency trace has %d entries for %d frames" % (len(trace), n_frames))
         else:
-            latencies = opts.trace[:n_frames]
+            latencies = trace[:n_frames]
         schedule = streaming_sim.build_schedule(
-            n_frames, opts.stream["interval_ms"], latencies, skip_stale=opts.stream["skip_stale"]
+            n_frames, args.interval_ms, latencies, skip_stale=args.skip_stale
         )
         missing = [{"sequence": name, "frame": k} for k in sorted(gts) if k not in dets]
-        if use_range:
+        if not args.no_range_filter:
             gts = {k: apply_range_filter(v) for k, v in gts.items()}
             dets = {k: apply_range_filter(v) for k, v in dets.items()}
-        outputs = {k: _boxes_to_preds(v, opts.class_ids) for k, v in dets.items()}
+        outputs = {k: _boxes_to_preds(v, class_ids) for k, v in dets.items()}
         yield schedule, outputs, gts, missing
 
 
 def cmd_eval(args):
     """eval and stream-eval: pair each ground-truth instant with the latest
     finished output; eval's schedule has zero latency."""
-    opts = _label_options(args)
+    class_ids, config = _label_options(args)
     pairs, missing_frames = [], []
-    for schedule, outputs, gts, missing in _stream_sequences(args, opts):
+    for schedule, outputs, gts, missing in _stream_sequences(args, class_ids):
         pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
         missing_frames.extend(missing)
-    return _ap_report(args, opts, pairs, missing_frames)
+    return _ap_report(args, config, pairs, missing_frames)
 
 
 def cmd_streamer(args):
-    opts = _label_options(args)
+    class_ids, config = _label_options(args)
     all_pairs, dump_lines, missing_frames = [], [], []
     # A diverging filter's NaN state exits 4 through to_box; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for schedule, det_boxes, gts, missing in _stream_sequences(args, opts):
+        for schedule, det_boxes, gts, missing in _stream_sequences(args, class_ids):
             missing_frames.extend(missing)
-            forecasts = forecast.stream_forecasts(schedule, det_boxes, opts.class_ids.values())
+            forecasts = forecast.stream_forecasts(schedule, det_boxes, class_ids.values())
             for j, preds in enumerate(forecasts):
                 all_pairs.append((preds, gts.get(j, [])))
                 dump_lines.extend(
                     "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f\n"
-                    % (j, p.track_id, opts.classes[p.class_id], *p.dims, *p.center, p.yaw, p.score)
+                    % (j, p.track_id, args.classes[p.class_id], *p.dims, *p.center, p.yaw, p.score)
                     for p in preds
                 )
-    files, stdout = _ap_report(args, opts, all_pairs, missing_frames, pr_dump=False)
+    files, stdout = _ap_report(args, config, all_pairs, missing_frames, pr_dump=False)
     return {args.output + "_forecasts.txt": "".join(dump_lines).encode(), **files}, stdout
 
 
@@ -289,7 +273,7 @@ def cmd_flow(args):
 
 
 def cmd_mcl(args):
-    _, class_ids = _parse_classes(args)
+    class_ids = _parse_classes(args)
 
     def flat_boxes(path):
         frames = _load_label_map(path)

@@ -3,6 +3,7 @@
 Label lines are whitespace separated:
   frame track_id type truncated occluded alpha x1 y1 x2 y2 h w l x y z rot_y [score]
 Ground-truth files carry 17 fields, detection dumps 18 (trailing score).
+The occlusion level is an integer (-1 for DontCare).
 """
 
 from __future__ import annotations
@@ -113,13 +114,17 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
             raise ParseError(
                 "line %d: expected >=17 fields, got %d" % (lineno, len(fields))
             )
+        if len(fields) > 18:
+            raise ParseError("line %d: expected at most 18 fields, got %d" % (lineno, len(fields)))
         try:
             frame, track_id = int(fields[0]), int(fields[1])
-            nums = [float(v) for v in fields[3:18]]
+            nums = [float(v) for v in fields[3:]]
         except ValueError as exc:
             raise ParseError("line %d: non-numeric field (%s)" % (lineno, exc)) from exc
         if not all(map(math.isfinite, nums)):
             raise ParseError("line %d: non-finite numeric field" % lineno)
+        if not nums[1].is_integer():
+            raise ParseError("line %d: occlusion %r is not an integer" % (lineno, nums[1]))
         if frame < 0:
             raise ParseError("line %d: negative frame index %d" % (lineno, frame))
         if frame >= MAX_FRAME_INDEX:

@@ -695,6 +695,18 @@ class TestConfigPrecedence:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["config"]["iou_thresholds"] == [0.7]
 
+    def test_eval_ignores_stream_keys(self, tmp_path):
+        # offline AP is sAP at zero latency whatever the config file says;
+        # the trace path names no file, so reading it would exit 3
+        argv = command_argv(tmp_path, "eval")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("interval_ms = 33\nlatency_ms = 500\nlatency_trace = %s\n"
+                       % (tmp_path / "missing.txt"))
+        assert cli.main(argv) == 0
+        plain = {s: (tmp_path / ("r" + s)).read_bytes() for s in (".csv", "_pr.dat")}
+        assert cli.main(["--config", str(cfg)] + argv) == 0
+        assert plain == {s: (tmp_path / ("r" + s)).read_bytes() for s in (".csv", "_pr.dat")}
+
     @pytest.mark.parametrize("command, line, owner, name, key, cast", [
         ("flow", "d = 2", feature_flow, "compute_flow", "d", int),
         ("mcl", "tau = 0.5", cli, "batch_mcl", "tau", float),
@@ -866,6 +878,12 @@ BAD_INPUT_ROWS = {
                    "line 2: frame index 1000000 is not below 1000000"),
     "16-fields": ("gt", 2, label_line(track_id=1, x=6.0).rsplit(" ", 1)[0],
                   "line 2: expected >=17 fields, got 16"),
+    # a field after the score used to be dropped without a word
+    "19-fields": ("det", 3, label_line(frame=1, score=0.9) + " 7",
+                  "line 3: expected at most 18 fields, got 19"),
+    # int() used to truncate it to 1, moving the row's difficulty tier
+    "fractional-occlusion": ("gt", 2, label_line(track_id=1, x=6.0, occlusion=1.7),
+                             "line 2: occlusion 1.7 is not an integer"),
     "non-numeric-height": ("gt", 2, label_line(track_id=1, x=6.0).replace("1.500000", "abc"),
                            "line 2: non-numeric field (could not convert string to float: 'abc')"),
     "trace-not-a-number": ("trace", 2, "abc", "latency trace line 2: not a number: 'abc'"),
@@ -946,16 +964,18 @@ class TestUsageErrors:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
-    @pytest.mark.parametrize("iou", ["1.5", "0", "-0.5", "nan"])
+    @pytest.mark.parametrize("iou", ["1.5", "0", "-0.5", "nan", "0.7,abc"])
     def test_iou_outside_unit_interval_is_data_error(self, tmp_path, capsys, command, iou):
-        # with no pairs to match, such a threshold used to reach the table
+        # with no pairs to match, such a threshold used to reach the table;
+        # a non-number used to be named by float() alone
         for name in ("gt.txt", "det.txt"):
             (tmp_path / name).write_text("")
         rc = cli.main([command, "--gt", str(tmp_path / "gt.txt"),
                        "--det", str(tmp_path / "det.txt"),
                        "--output", str(tmp_path / "r"), "--iou", iou])
         assert rc == 3
-        assert "data error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: --iou threshold ") and captured.out == ""
         assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_subcommand(self):

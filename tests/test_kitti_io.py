@@ -97,6 +97,22 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_tracking_labels(GT_LINE + "\n0 1 Car 0.0")
 
+    def test_long_line_names_line_number(self):
+        # a trailing field after the score used to be dropped without a word
+        with pytest.raises(ParseError, match="line 2: expected at most 18 fields, got 19"):
+            parse_tracking_labels(GT_LINE + "\n" + DET_LINE + " 7")
+
+    @pytest.mark.parametrize("occlusion", ["1.7", "-0.9"])
+    def test_fractional_occlusion_names_line_number(self, occlusion):
+        # int() used to truncate it, moving the row's difficulty tier
+        bad = GT_LINE.replace("Car 0.0 0 ", "Car 0.0 %s " % occlusion)
+        with pytest.raises(ParseError, match="line 2: occlusion %s is not an integer" % occlusion):
+            parse_tracking_labels(GT_LINE + "\n" + bad)
+
+    def test_integral_float_occlusion_parses(self):
+        box = parse_tracking_labels(GT_LINE.replace("Car 0.0 0 ", "Car 0.0 2.0 "))[0][0]
+        assert box.occlusion == 2 and type(box.occlusion) is int
+
     def test_negative_frame_names_line_number(self):
         with pytest.raises(ParseError, match="line 2: negative frame index -1"):
             parse_tracking_labels(GT_LINE + "\n-1" + GT_LINE[1:])
