@@ -70,6 +70,15 @@ def _load_label_map(path: str) -> Dict[int, List[LabeledBox]]:
         return parse_tracking_labels(f.read())
 
 
+def _load_detections(path: str) -> Dict[int, List[LabeledBox]]:
+    """_load_label_map of a --det file, each of whose lines has a score."""
+    frames = _load_label_map(path)
+    for k, boxes in frames.items():
+        if any(b.score is None for b in boxes):
+            raise ParseError("%s: frame %d has a detection line without a score" % (path, k))
+    return frames
+
+
 def _load_sequences(gt_path: str, det_path: str):
     """Yield (name, gt frame map, det frame map) per sequence, at least one."""
     if os.path.isdir(gt_path):
@@ -80,10 +89,10 @@ def _load_sequences(gt_path: str, det_path: str):
             raise ParseError("no sequences to evaluate")
         for name in names:
             det_file = os.path.join(det_path, name)
-            dets = _load_label_map(det_file) if os.path.exists(det_file) else {}
+            dets = _load_detections(det_file) if os.path.exists(det_file) else {}
             yield name, _load_label_map(os.path.join(gt_path, name)), dets
     else:
-        yield os.path.basename(gt_path), _load_label_map(gt_path), _load_label_map(det_path)
+        yield os.path.basename(gt_path), _load_label_map(gt_path), _load_detections(det_path)
 
 
 def _boxes_to_preds(boxes: List[LabeledBox], class_ids: Dict[str, int]) -> List[Box3D]:
@@ -275,12 +284,14 @@ def cmd_flow(args):
 def cmd_mcl(args):
     class_ids = _parse_classes(args)
 
-    def flat_boxes(path):
+    def frame_boxes(path):  # the evaluated boxes of the file's one frame, if any
         frames = _load_label_map(path)
-        return [b for k in sorted(frames) for b in _boxes_to_preds(frames[k], class_ids)]
+        if len(frames) > 1:
+            raise ParseError("%s holds frames %s; an mcl file holds one" % (path, sorted(frames)))
+        return [b for boxes in frames.values() for b in _boxes_to_preds(boxes, class_ids)]
 
     paths = (args.pred, args.gt_t, args.gt_tm1, args.gt_tm2)
-    preds, gts_t, gts_tm1, gts_tm2 = map(flat_boxes, paths)
+    preds, gts_t, gts_tm1, gts_tm2 = map(frame_boxes, paths)
     per_object, mean = batch_mcl(
         preds, gts_t, gts_tm1, gts_tm2, tau=args.tau, beta=args.beta, iou_kind=args.iou_kind
     )

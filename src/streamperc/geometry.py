@@ -67,11 +67,9 @@ class Box3D:
         object.__setattr__(self, "_overlaps", {})
 
     @functools.cached_property
-    def corners(self) -> np.ndarray:
-        """bev_corners of this box, built on first use; read-only."""
-        pts = bev_corners(self)
-        pts.flags.writeable = False
-        return pts
+    def corners(self) -> tuple:
+        """bev_corners as a tuple of (x, z) float pairs, built on first use."""
+        return tuple(map(tuple, bev_corners(self).tolist()))
 
 
 def bev_corners(box: Box3D) -> np.ndarray:
@@ -127,7 +125,7 @@ def _clip_polygon(subject, cp1, cp2):
         if sc >= tol:
             if sp < tol:
                 out.append(_intersect(prev, cur, cp1, cp2))
-            out.append(tuple(cur))
+            out.append(cur)
         elif sp >= tol:
             out.append(_intersect(prev, cur, cp1, cp2))
     return out
@@ -145,22 +143,9 @@ def _intersect(p1, p2, q1, q2):
     return (p1[0] + t * dpx, p1[1] + t * dpz)
 
 
-def polygon_intersection_area(a: Sequence, b: Sequence) -> float:
-    """Area of the intersection of two convex polygons (Sutherland-Hodgman)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if len(a) < 3 or len(b) < 3:
-        return 0.0
-    if polygon_area(a) < 0:
-        a = a[::-1]
-    if polygon_area(b) < 0:
-        b = b[::-1]
-    return _clip_area(a.tolist(), b.tolist())
-
-
-def _clip_area(poly: list, clip: list) -> float:
+def _clip_area(poly: Sequence, clip: Sequence) -> float:
     """Intersection area of two convex counter-clockwise polygons given as
-    lists of (x, z) float pairs, each with at least 3 vertices."""
+    sequences of (x, z) float pairs, each with at least 3 vertices."""
     for i in range(len(clip)):
         if len(poly) < 3:
             return 0.0
@@ -189,7 +174,7 @@ def _bev_intersection(a: Box3D, b: Box3D) -> float:
     entry = a._overlaps.get(id(b))
     if entry is not None and entry[0] is b:
         return entry[1]
-    area = _clip_area(a.corners.tolist(), b.corners.tolist())
+    area = _clip_area(a.corners, b.corners)
     a._overlaps[id(b)] = (b, area)
     return area
 

@@ -3,7 +3,7 @@
 Label lines are whitespace separated:
   frame track_id type truncated occluded alpha x1 y1 x2 y2 h w l x y z rot_y [score]
 Ground-truth files carry 17 fields, detection dumps 18 (trailing score).
-The occlusion level is an integer (-1 for DontCare).
+The occlusion level is an integer from -1 (DontCare) to 3.
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
             raise ParseError("line %d: non-finite numeric field" % lineno)
         if not nums[1].is_integer():
             raise ParseError("line %d: occlusion %r is not an integer" % (lineno, nums[1]))
+        if not -1 <= nums[1] <= 3:
+            raise ParseError("line %d: occlusion %d is outside -1..3" % (lineno, nums[1]))
         if frame < 0:
             raise ParseError("line %d: negative frame index %d" % (lineno, frame))
         if frame >= MAX_FRAME_INDEX:

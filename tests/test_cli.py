@@ -557,6 +557,34 @@ class TestMcl:
         assert payload["config"]["tau"] == pytest.approx(0.8)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--pred", "--gt-tm1"])
+    def test_file_with_two_frames_is_data_error(self, tmp_path, capsys, flag):
+        # a Car at constant velocity, one frame per file; each file's frames
+        # used to be merged, so an extra frame-6 row changed the loss
+        flags = ["--gt-tm2", "--gt-tm1", "--gt-t", "--pred"]
+        paths = {f: write_labels(tmp_path / ("%d.txt" % k),
+                                 {k: [make_gt(frame=k, x=float(k), score=0.9)]})
+                 for k, f in enumerate(flags)}
+        argv = ["mcl"] + [v for f in flags for v in (f, paths[f])]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["mean_mcl"] == 0.0
+        with open(paths[flag], "a") as f:
+            f.write(label_line(frame=6, x=6.0, score=0.9) + "\n")
+        assert cli.main(argv + ["--output", str(tmp_path / "r.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: %s holds frames [%d, 6]; an mcl file holds one\n" % (
+            paths[flag], flags.index(flag))
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
+
+    def test_empty_file_holds_no_boxes(self, tmp_path, capsys):
+        paths = [write_labels(tmp_path / "pred.txt", {})] + [
+            write_labels(tmp_path / (name + ".txt"), simple_world(1))
+            for name in ("gt_t", "gt_tm1", "gt_tm2")]
+        argv = ["mcl"] + [v for pair in zip(["--pred", "--gt-t", "--gt-tm1", "--gt-tm2"],
+                                            paths) for v in pair]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n_objects"] == 0
+
     @pytest.mark.parametrize("line", ["tau = -1", "tau = nan", "beta = 0", "beta = inf",
                                       "iou_kind = xyz"])
     def test_bad_option_is_data_error_with_no_match(self, tmp_path, capsys, line):
@@ -884,6 +912,11 @@ BAD_INPUT_ROWS = {
     # int() used to truncate it to 1, moving the row's difficulty tier
     "fractional-occlusion": ("gt", 2, label_line(track_id=1, x=6.0, occlusion=1.7),
                              "line 2: occlusion 1.7 is not an integer"),
+    # 7 used to make the row ignored at every level, -5 count it as easy
+    "occlusion-7": ("gt", 2, label_line(track_id=1, x=6.0, occlusion=7),
+                    "line 2: occlusion 7 is outside -1..3"),
+    "occlusion-minus-5": ("gt", 2, label_line(track_id=1, x=6.0, occlusion=-5),
+                          "line 2: occlusion -5 is outside -1..3"),
     "non-numeric-height": ("gt", 2, label_line(track_id=1, x=6.0).replace("1.500000", "abc"),
                            "line 2: non-numeric field (could not convert string to float: 'abc')"),
     "trace-not-a-number": ("trace", 2, "abc", "latency trace line 2: not a number: 'abc'"),
@@ -933,6 +966,38 @@ class TestBadLabels:
         # a malformed label file is rejected while parsing, before any
         # schedule is built: a huge frame index would size one
         assert name == "trace" or built == []
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    @pytest.mark.parametrize("kw", [
+        pytest.param({}, id="true-positive"),
+        pytest.param({"class_name": "Van"}, id="unevaluated-class"),
+        pytest.param({"z": 80.0}, id="out-of-range"),
+    ])
+    def test_detection_without_score_is_data_error(self, tmp_path, capsys, command, kw):
+        # a score-less true positive beside a 0.9 false positive used to be
+        # scored as 0.0, giving Car AP 0.5; the range crop and the class
+        # filter come after the check
+        gt = write_labels(tmp_path / "gt.txt", {0: [make_gt()]})
+        det = tmp_path / "det.txt"
+        det.write_text(label_line(x=10.0, score=0.9) + "\n" + label_line(**kw) + "\n")
+        argv = [command, "--gt", gt, "--det", str(det), "--output", str(tmp_path / "r")]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: %s: frame 0 has a detection line without a score\n" % det
+        assert captured.out == "" and not list(tmp_path.glob("r*"))
+
+    def test_detection_without_score_names_sequence_file(self, tmp_path, capsys):
+        for d in ("gt", "det"):
+            (tmp_path / d).mkdir()
+        write_labels(tmp_path / "gt" / "0000.txt", simple_world(2))
+        write_labels(tmp_path / "det" / "0000.txt", simple_world(2, score=0.9))
+        write_labels(tmp_path / "gt" / "0001.txt", simple_world(2))
+        det = write_labels(tmp_path / "det" / "0001.txt", {1: [make_gt(frame=1)]})
+        argv = ["eval", "--gt", str(tmp_path / "gt"), "--det", str(tmp_path / "det"),
+                "--output", str(tmp_path / "r")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: %s: frame 1 has a detection line without a score\n" % det
 
     @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
     def test_dontcare_without_box_is_skipped(self, tmp_path, command):

@@ -15,7 +15,6 @@ from streamperc.geometry import (
     iou_3d,
     iou_matrix,
     polygon_area,
-    polygon_intersection_area,
 )
 
 from conftest import make_box
@@ -194,35 +193,36 @@ class TestBevCorners:
 
 
 class TestPolygonIntersection:
+    """The clip the IoUs run: geometry._clip_area on Box3D.corners."""
+
     def test_identical_unit_squares(self):
-        sq = bev_corners(unit_square_box())
-        assert polygon_intersection_area(sq, sq) == pytest.approx(1.0)
+        sq = unit_square_box().corners
+        assert geometry._clip_area(sq, sq) == pytest.approx(1.0)
 
     def test_half_offset(self):
-        a = bev_corners(unit_square_box())
-        b = bev_corners(make_box(h=1.0, w=1.0, l=1.0, x=0.5))
-        assert polygon_intersection_area(a, b) == pytest.approx(0.5)
+        a = unit_square_box().corners
+        b = make_box(h=1.0, w=1.0, l=1.0, x=0.5).corners
+        assert geometry._clip_area(a, b) == pytest.approx(0.5)
 
     def test_rotated_45_octagon(self):
         # closed form: intersection of a unit square with its 45-degree
         # rotation about the center is a regular octagon of area 2(sqrt2 - 1)
-        a = bev_corners(unit_square_box())
-        b = bev_corners(unit_square_box(yaw=math.pi / 4))
+        a = unit_square_box().corners
+        b = unit_square_box(yaw=math.pi / 4).corners
         expected = 2.0 * (math.sqrt(2.0) - 1.0)
-        assert polygon_intersection_area(a, b) == pytest.approx(expected, abs=1e-9)
+        assert geometry._clip_area(a, b) == pytest.approx(expected, abs=1e-9)
         mc = mc_intersection_area(unit_square_box(), unit_square_box(yaw=math.pi / 4),
                                   1_000_000, seed=7)
-        assert abs(polygon_intersection_area(a, b) - mc) < 2e-3
+        assert abs(geometry._clip_area(a, b) - mc) < 2e-3
 
     def test_disjoint(self):
-        a = bev_corners(unit_square_box())
-        b = bev_corners(make_box(h=1.0, w=1.0, l=1.0, x=5.0))
-        assert polygon_intersection_area(a, b) == 0.0
+        a = unit_square_box().corners
+        b = make_box(h=1.0, w=1.0, l=1.0, x=5.0).corners
+        assert geometry._clip_area(a, b) == 0.0
 
     def test_degenerate_collinear(self):
         line = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-        sq = bev_corners(unit_square_box())
-        assert polygon_intersection_area(line, sq) == 0.0
+        assert geometry._clip_area(line, unit_square_box().corners) == 0.0
 
 
 class TestIouBev:
@@ -398,9 +398,12 @@ class TestBox3D:
     def test_corners_cached_and_read_only(self):
         box = make_box(x=1.0, z=10.0, yaw=0.3)
         assert box.corners is box.corners
-        assert np.array_equal(box.corners, bev_corners(box))
-        with pytest.raises(ValueError):
-            box.corners[0, 0] = 0.0
+        hexes = [[v.hex() for v in p] for p in box.corners]
+        assert hexes == [[v.hex() for v in p] for p in bev_corners(box).tolist()]
+        with pytest.raises(TypeError):
+            box.corners[0] = (0.0, 0.0)
+        with pytest.raises(TypeError):
+            box.corners[0][0] = 0.0
 
 
 def _box(x, y, z, dims, yaw):
@@ -522,7 +525,7 @@ class TestTinyDisjointFootprints:
     def test_scores_zero(self, a, b):
         zero = (0.0).hex()
         for p, q in ((a, b), (b, a)):
-            assert polygon_intersection_area(bev_corners(p), bev_corners(q)).hex() == zero
+            assert geometry._clip_area(p.corners, q.corners).hex() == zero
             assert iou_bev(p, q).hex() == ref_iou_bev(p, q).hex() == zero
             assert iou_3d(p, q).hex() == ref_iou_3d(p, q).hex() == zero
 

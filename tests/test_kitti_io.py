@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -108,6 +109,20 @@ class TestParse:
         bad = GT_LINE.replace("Car 0.0 0 ", "Car 0.0 %s " % occlusion)
         with pytest.raises(ParseError, match="line 2: occlusion %s is not an integer" % occlusion):
             parse_tracking_labels(GT_LINE + "\n" + bad)
+
+    @pytest.mark.parametrize("occlusion", ["7", "-5", "4", "-2"])
+    def test_occlusion_outside_range_names_line_number(self, occlusion):
+        # 7 used to be scored as ignored at every level and -5 as easy
+        bad = GT_LINE.replace("Car 0.0 0 ", "Car 0.0 %s " % occlusion)
+        with pytest.raises(ParseError,
+                           match=re.escape("line 2: occlusion %s is outside -1..3" % occlusion)):
+            parse_tracking_labels(GT_LINE + "\n" + bad)
+
+    @pytest.mark.parametrize("occlusion", [-1, 3])
+    def test_occlusion_range_ends_parse(self, occlusion):
+        # KITTI writes -1 for DontCare, and detection dumps often do on every row
+        text = DET_LINE.replace("Car 0.0 0 ", "Car 0.0 %d " % occlusion)
+        assert parse_tracking_labels(text)[0][0].occlusion == occlusion
 
     def test_integral_float_occlusion_parses(self):
         box = parse_tracking_labels(GT_LINE.replace("Car 0.0 0 ", "Car 0.0 2.0 "))[0][0]
