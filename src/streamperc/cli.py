@@ -2,10 +2,11 @@
 forecasting baseline, feature flow, motion loss and backbone accounting.
 
 Option precedence is flags > config file > built-in defaults; the config
-file is flat ``key = value`` text keyed by the long option names (dashes
-or underscores). Exit codes: 0 ok, 2 usage, 3 data error, 4 numerical
-error. Each command returns its files ({path: bytes}) and its stdout text;
-main writes the files all or none, then prints the text.
+file is flat ``key = value`` text keyed by the names of DEFAULTS (dashes
+or underscores). Files, the latency trace among them, are flags only.
+Exit codes: 0 ok, 2 usage, 3 data error, 4 numerical error. Each command
+returns its files ({path: bytes}) and its stdout text; main writes the
+files all or none, then prints the text.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ DEFAULTS = {
     "tau": DEFAULT_TAU,
     "beta": 1.0,
     "iou_kind": "bev",
-}
-# Keys a config file may set; main casts each to its default's type (str if none).
-CONFIG_KEYS = frozenset(DEFAULTS) | {"latency_trace"}
+}  # the keys a config file may set; main casts each to its default's type
 
 
 def read_config_file(path: str) -> Dict[str, str]:
@@ -59,7 +58,7 @@ def read_config_file(path: str) -> Dict[str, str]:
                 raise ParseError("config line %d: expected key = value" % lineno)
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in CONFIG_KEYS:
+            if key not in DEFAULTS:
                 raise ParseError("config line %d: unknown key %r" % (lineno, key))
             cfg[key] = value.strip()
     return cfg
@@ -142,11 +141,10 @@ def _label_options(args) -> Tuple[Dict[str, int], dict]:
         args.interval_ms, args.latency_ms = DEFAULTS["interval_ms"], 0.0
         args.skip_stale, args.latency_trace = False, None
         return class_ids, config
-    latency = "trace" if args.latency_trace else args.latency_ms
+    latency = args.latency_ms if args.latency_trace is None else "trace"
     config.update(interval_ms=args.interval_ms, latency=latency, skip_stale=args.skip_stale)
-    path, args.latency_trace = args.latency_trace, None
-    if path:
-        with open(path) as f:
+    if args.latency_trace is not None:
+        with open(args.latency_trace) as f:
             args.latency_trace = [
                 _number(line, "latency trace line %d: not a number: %%r" % lineno)
                 for lineno, line in enumerate(map(str.strip, f), start=1) if line
@@ -155,7 +153,7 @@ def _label_options(args) -> Tuple[Dict[str, int], dict]:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _ap_report(args, config, pairs, missing_frames, pr_dump=True):
@@ -212,17 +210,15 @@ def _stream_sequences(args, class_ids: Dict[str, int]):
     with no detection line. Every sequence uses the first n_frames entries
     of the one latency trace.
     """
-    trace = args.latency_trace
     for name, gts, dets in _load_sequences(args.gt, args.det):
         n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
-        if trace is None:
+        latencies = args.latency_trace
+        if latencies is None:
             latencies = [args.latency_ms] * n_frames
-        elif len(trace) < n_frames:
-            raise ParseError("latency trace has %d entries for %d frames" % (len(trace), n_frames))
-        else:
-            latencies = trace[:n_frames]
+        if len(latencies) < n_frames:
+            raise ParseError("latency trace has %d entries for %d frames" % (len(latencies), n_frames))
         schedule = streaming_sim.build_schedule(
-            n_frames, args.interval_ms, latencies, skip_stale=args.skip_stale
+            n_frames, args.interval_ms, latencies[:n_frames], skip_stale=args.skip_stale
         )
         missing = [{"sequence": name, "frame": k} for k in sorted(gts) if k not in dets]
         if not args.no_range_filter:
@@ -278,20 +274,25 @@ def cmd_flow(args):
         args.output + "_pseudo.fgrd": grid_ops.fgrd_bytes(pseudo),
         args.output + ".json": _json_text(summary).encode(),
     }
-    return files, json.dumps(summary, sort_keys=True) + "\n"
+    return files, json.dumps(summary, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_mcl(args):
     class_ids = _parse_classes(args)
 
-    def frame_boxes(path):  # the evaluated boxes of the file's one frame, if any
+    def frame_boxes(path):  # the file's one frame index (None if empty) and its evaluated boxes
         frames = _load_label_map(path)
         if len(frames) > 1:
             raise ParseError("%s holds frames %s; an mcl file holds one" % (path, sorted(frames)))
-        return [b for boxes in frames.values() for b in _boxes_to_preds(boxes, class_ids)]
+        frame, boxes = next(iter(frames.items()), (None, []))
+        return frame, _boxes_to_preds(boxes, class_ids)
 
     paths = (args.pred, args.gt_t, args.gt_tm1, args.gt_tm2)
-    preds, gts_t, gts_tm1, gts_tm2 = map(frame_boxes, paths)
+    (_, preds), (t, gts_t), (tm1, gts_tm1), (tm2, gts_tm2) = map(frame_boxes, paths)
+    for flag, frame, back in (("--gt-tm1", tm1, 1), ("--gt-tm2", tm2, 2)):
+        if None not in (t, frame) and frame != t - back:
+            raise ParseError("%s holds frame %d; expected frame %d (--gt-t holds frame %d)"
+                             % (flag, frame, t - back, t))
     per_object, mean = batch_mcl(
         preds, gts_t, gts_tm1, gts_tm2, tau=args.tau, beta=args.beta, iou_kind=args.iou_kind
     )
@@ -334,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_stream_opts(p):
         p.add_argument("--interval-ms", type=float, dest="interval_ms")
-        p.add_argument("--latency-ms", type=float, dest="latency_ms")
-        p.add_argument(
+        latency = p.add_mutually_exclusive_group()
+        latency.add_argument("--latency-ms", type=float, dest="latency_ms")
+        latency.add_argument(
             "--latency-trace",
             dest="latency_trace",
             help="per-frame latencies in ms, one per line; every sequence uses "
@@ -416,14 +418,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = read_config_file(args.config) if args.config else {}
         # Flag > config file > default, once per option of the command; sorted, so
         # the first bad value named does not depend on the hash seed.
-        for key in sorted(CONFIG_KEYS & vars(args).keys()):
-            if getattr(args, key) is None and key in cfg:
+        for key in sorted(DEFAULTS.keys() & vars(args).keys()):
+            if getattr(args, key) is None:
                 try:
-                    setattr(args, key, type(DEFAULTS.get(key, ""))(cfg[key]))
+                    setattr(args, key, type(DEFAULTS[key])(cfg.get(key, DEFAULTS[key])))
                 except ValueError as exc:
                     raise ParseError("config key %r: %s" % (key, exc)) from exc
-            elif getattr(args, key) is None:
-                setattr(args, key, DEFAULTS.get(key))
         files, stdout = args.func(args)
         _publish(files)
         sys.stdout.write(stdout)

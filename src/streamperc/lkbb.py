@@ -10,6 +10,7 @@ resolution with halved channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -67,6 +68,8 @@ def receptive_field(chain: Sequence[LayerSpec]) -> Tuple[int, float]:
             k = layer.kernel[0]
             rf += (k - 1) * layer.dilation * jump
             jump = jump / layer.stride if layer.transpose else jump * layer.stride
+        if not (math.isfinite(rf) and math.isfinite(jump)):  # a float product overflows to inf
+            raise OverflowError("receptive field %r, jump %r" % (rf, jump))
         return int(round(rf)), jump
     except OverflowError as exc:
         raise ValueError("chain too large for a float receptive field: %s" % exc) from exc

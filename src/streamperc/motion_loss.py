@@ -120,6 +120,17 @@ def total_loss(
     return (l_ori + lam * l_mcl) / n_pos
 
 
+def _by_track_id(gts: Sequence[Box3D], frame: str) -> dict:
+    """The boxes with a track id, keyed by it; a repeated id is a ValueError."""
+    by_id = {}
+    for g in gts:
+        if g.track_id in by_id:
+            raise ValueError("ground truth at %s repeats track id %d" % (frame, g.track_id))
+        if g.track_id is not None:
+            by_id[g.track_id] = g
+    return by_id
+
+
 def batch_mcl(
     preds: Sequence[Box3D],
     gts_t: Sequence[Box3D],
@@ -132,7 +143,8 @@ def batch_mcl(
     """Per-object losses over a frame plus their average.
 
     Predictions are matched to current-frame ground truth by IoU argmax;
-    ground-truth chains are linked by track id. Objects with no current
+    ground-truth chains are linked by track id, so a ground-truth list that
+    repeats a track id is a ValueError. Objects with no current
     match or no t-1 history are skipped; objects without t-2 history lose
     only the acceleration term. tau, beta and iou_kind are checked first,
     so a bad value fails even when no prediction matches.
@@ -141,8 +153,9 @@ def batch_mcl(
         raise ValueError("need finite tau >= 0 and beta > 0, got %r and %r" % (tau, beta))
     if iou_kind not in ("bev", "3d"):
         raise ValueError("iou_kind must be 'bev' or '3d', got %r" % iou_kind)
-    by_id_tm1 = {g.track_id: g for g in gts_tm1 if g.track_id is not None}
-    by_id_tm2 = {g.track_id: g for g in gts_tm2 if g.track_id is not None}
+    _by_track_id(gts_t, "t")
+    by_id_tm1 = _by_track_id(gts_tm1, "t-1")
+    by_id_tm2 = _by_track_id(gts_tm2, "t-2")
     per_object = []
     for pi, gi in match_pred_to_gt(preds, gts_t, iou_kind):
         gt = gts_t[gi]

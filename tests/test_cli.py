@@ -378,6 +378,56 @@ class TestStreamEval:
                                              {"sequence": "0001.txt", "frame": 1}]
 
 
+class TestOneLatencySource:
+    """A stream run takes its latency from --latency-ms or from
+    --latency-trace, never from both. One Car moves 2 m per frame and is
+    detected exactly: at 150 ms it scores below 1.0 at IoU 0.5, and a
+    trace of zeros scores it 1.0. A trace used to win silently over an
+    explicit --latency-ms, from a second flag or from the config file,
+    where latency_trace is now an unknown key (test_unread_key_is_data_error)."""
+
+    @staticmethod
+    def argv(tmp, command):
+        world = {f: [make_gt(frame=f, x=2.0 * f)] for f in range(6)}
+        dets = {f: [make_gt(frame=f, x=2.0 * f, score=0.9)] for f in range(6)}
+        (tmp / "zero.txt").write_text("0\n" * 6)
+        return [command, "--gt", write_labels(tmp / "gt.txt", world),
+                "--det", write_labels(tmp / "det.txt", dets), "--output", str(tmp / "r"),
+                "--classes", "Car", "--iou", "0.5"]
+
+    @staticmethod
+    def reports(tmp):
+        return {p.name: p.read_bytes() for p in sorted(tmp.glob("r*"))}
+
+    @pytest.mark.parametrize("command", ["stream-eval", "streamer"])
+    def test_both_flags_are_usage_error(self, tmp_path, capsys, command):
+        argv = self.argv(tmp_path, command)
+        assert cli.main(argv + ["--latency-ms", "150"]) == 0
+        assert "AP=1.0000" not in capsys.readouterr().out
+        for p in tmp_path.glob("r*"):
+            p.unlink()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--latency-ms", "150", "--latency-trace", str(tmp_path / "zero.txt")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err and captured.out == ""
+        assert self.reports(tmp_path) == {}
+
+    @pytest.mark.parametrize("command", ["stream-eval", "streamer"])
+    def test_trace_flag_beside_config_latency(self, tmp_path, capsys, command):
+        argv = self.argv(tmp_path, command) + ["--latency-trace", str(tmp_path / "zero.txt")]
+        assert cli.main(argv) == 0
+        alone = self.reports(tmp_path)
+        assert json.loads(alone["r.json"])["config"]["latency"] == "trace"
+        assert all(r["ap"] == 1.0 for r in json.loads(alone["r.json"])["results"])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("latency_ms = 150\n")
+        assert cli.main(["--config", str(cfg)] + argv) == 0
+        assert self.reports(tmp_path) == alone
+        out = capsys.readouterr().out
+        assert "AP=0.0000" not in out and "AP=1.0000" in out
+
+
 class TestStreamer:
     def test_tracks_static_world(self, tmp_path):
         gt = write_labels(tmp_path / "gt.txt", simple_world(8))
@@ -541,15 +591,27 @@ class TestFlow:
         assert not list(tmp_path.glob("o*"))
 
 
+def mcl_argv(tmp_path, pred=None):
+    """mcl on simple_world's two stationary cars, one frame per file: the
+    prediction and --gt-t at frame 2, --gt-tm1 at 1 and --gt-tm2 at 0.
+    pred, a frame map, replaces the predicted cars."""
+    argv = ["mcl"]
+    for flag, k in (("--pred", 2), ("--gt-t", 2), ("--gt-tm1", 1), ("--gt-tm2", 0)):
+        frames = {k: simple_world(k + 1, score=0.9 if flag == "--pred" else None)[k]}
+        if flag == "--pred" and pred is not None:
+            frames = pred
+        argv += [flag, write_labels(tmp_path / (flag[2:].replace("-", "_") + ".txt"), frames)]
+    return argv
+
+
+def chain_car(k, x=None, **kw):
+    """Frame k of one Car moving 2 m per frame, at x = 0 in frame 5."""
+    return make_gt(frame=k, x=2.0 * (k - 5) if x is None else x, **kw)
+
+
 class TestMcl:
     def test_stationary_zero(self, tmp_path, capsys):
-        world = simple_world(1, score=0.9)
-        paths = {}
-        for name in ("pred", "gt_t", "gt_tm1", "gt_tm2"):
-            paths[name] = write_labels(tmp_path / (name + ".txt"), world)
-        rc = cli.main(["mcl", "--pred", paths["pred"], "--gt-t", paths["gt_t"],
-                       "--gt-tm1", paths["gt_tm1"], "--gt-tm2", paths["gt_tm2"],
-                       "--output", str(tmp_path / "mcl.json")])
+        rc = cli.main(mcl_argv(tmp_path) + ["--output", str(tmp_path / "mcl.json")])
         assert rc == 0
         payload = json.loads((tmp_path / "mcl.json").read_text())
         assert payload["mean_mcl"] == 0.0
@@ -576,13 +638,41 @@ class TestMcl:
             paths[flag], flags.index(flag))
         assert captured.out == "" and not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("tm1, tm2, message", [
+        pytest.param({4: [chain_car(4, x=-1.0), chain_car(4, x=-5.0)]}, {3: [chain_car(3)]},
+                     "ground truth at t-1 repeats track id 0", id="repeated-track-id"),
+        pytest.param({4: [chain_car(4, x=-5.0), chain_car(4, x=-1.0)]}, {3: [chain_car(3)]},
+                     "ground truth at t-1 repeats track id 0", id="repeated-track-id-swapped"),
+        pytest.param({3: [chain_car(3)]}, {4: [chain_car(4)]},
+                     "--gt-tm1 holds frame 3; expected frame 4 (--gt-t holds frame 5)",
+                     id="swapped-frames"),
+        pytest.param({4: [chain_car(4)]}, {2: [chain_car(2)]},
+                     "--gt-tm2 holds frame 2; expected frame 3 (--gt-t holds frame 5)",
+                     id="tm2-skips-a-frame"),
+    ])
+    def test_ambiguous_or_out_of_order_chain_is_data_error(self, tmp_path, capsys,
+                                                            tm1, tm2, message):
+        # with --gt-t at frame 5, --gt-tm1 at 4 and --gt-tm2 at 3 the Car
+        # scores 0.0; these chains used to score 9.3, 2.5, 7.5 and 1.2 with
+        # exit 0. The --pred frame is not checked.
+        files = {"--pred": {6: [chain_car(6, score=0.9)]}, "--gt-t": {5: [chain_car(5)]},
+                 "--gt-tm1": {4: [chain_car(4)]}, "--gt-tm2": {3: [chain_car(3)]}}
+
+        def run(*extra):
+            return cli.main(["mcl", *extra] + [
+                v for flag, frames in files.items()
+                for v in (flag, write_labels(tmp_path / (flag[2:] + ".txt"), frames))])
+
+        assert run() == 0
+        assert json.loads(capsys.readouterr().out)["mean_mcl"] == 0.0
+        files.update({"--gt-tm1": tm1, "--gt-tm2": tm2})
+        assert run("--output", str(tmp_path / "r.json")) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: %s\n" % message
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
+
     def test_empty_file_holds_no_boxes(self, tmp_path, capsys):
-        paths = [write_labels(tmp_path / "pred.txt", {})] + [
-            write_labels(tmp_path / (name + ".txt"), simple_world(1))
-            for name in ("gt_t", "gt_tm1", "gt_tm2")]
-        argv = ["mcl"] + [v for pair in zip(["--pred", "--gt-t", "--gt-tm1", "--gt-tm2"],
-                                            paths) for v in pair]
-        assert cli.main(argv) == 0
+        assert cli.main(mcl_argv(tmp_path, pred={})) == 0
         assert json.loads(capsys.readouterr().out)["n_objects"] == 0
 
     @pytest.mark.parametrize("line", ["tau = -1", "tau = nan", "beta = 0", "beta = inf",
@@ -590,12 +680,7 @@ class TestMcl:
     def test_bad_option_is_data_error_with_no_match(self, tmp_path, capsys, line):
         # the prediction lies 50 m from every ground truth, so no object is
         # scored; the options are still checked
-        far = {0: [make_gt(track_id=0, x=50.0, z=10.0, score=0.9)]}
-        paths = [write_labels(tmp_path / "pred.txt", far)] + [
-            write_labels(tmp_path / (name + ".txt"), simple_world(1))
-            for name in ("gt_t", "gt_tm1", "gt_tm2")]
-        argv = ["mcl"] + [v for pair in zip(["--pred", "--gt-t", "--gt-tm1", "--gt-tm2"],
-                                            paths) for v in pair]
+        argv = mcl_argv(tmp_path, pred={2: [make_gt(frame=2, x=50.0, z=10.0, score=0.9)]})
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["n_objects"] == 0
         cfg = tmp_path / "cfg.txt"
@@ -625,6 +710,10 @@ class TestLkbb:
         pytest.param("tconv 2 2 1 8 0", None, "line 1: kernel, stride", id="out-channels-0"),
         pytest.param("conv %d 1 1 4" % 10**400, None,
                      "chain too large for a float receptive field", id="kernel-overflows-float"),
+        # the output stride overflows to inf, which used to be printed as
+        # "jump": Infinity, not JSON, with exit 0
+        pytest.param("\n".join(["conv 1 1000000 1 4"] * 52), None,
+                     "chain too large for a float receptive field", id="jump-overflows-float"),
         pytest.param("conv 3 1 1 8", (0, 10), "input height and width must be >= 1", id="height-0"),
         pytest.param("conv 3 1 1 8", (10, 0), "input height and width must be >= 1", id="width-0"),
         pytest.param("conv 3 1 1 8", (-5, 10), "input height and width must be >= 1",
@@ -724,12 +813,10 @@ class TestConfigPrecedence:
         assert payload["config"]["iou_thresholds"] == [0.7]
 
     def test_eval_ignores_stream_keys(self, tmp_path):
-        # offline AP is sAP at zero latency whatever the config file says;
-        # the trace path names no file, so reading it would exit 3
+        # offline AP is sAP at zero latency whatever the config file says
         argv = command_argv(tmp_path, "eval")
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("interval_ms = 33\nlatency_ms = 500\nlatency_trace = %s\n"
-                       % (tmp_path / "missing.txt"))
+        cfg.write_text("interval_ms = 33\nlatency_ms = 500\n")
         assert cli.main(argv) == 0
         plain = {s: (tmp_path / ("r" + s)).read_bytes() for s in (".csv", "_pr.dat")}
         assert cli.main(["--config", str(cfg)] + argv) == 0
@@ -775,6 +862,8 @@ class TestConfigPrecedence:
         ("skip_stale = true", "skip_stale"),
         ("no-range-filter = true", "no_range_filter"),
         ("latncy_ms = 150", "latncy_ms"),
+        # the trace is an input file, given by flag like --gt and --det
+        ("latency_trace = missing.txt", "latency_trace"),
     ])
     def test_unread_key_is_data_error(self, tmp_path, capsys, line, key):
         # a key that no option reads used to be dropped without a word
@@ -798,10 +887,7 @@ def command_argv(tmp_path, command):
         return ["flow", "--current", str(tmp_path / "cur.fgrd"),
                 "--previous", str(tmp_path / "prev.fgrd"), "--output", str(tmp_path / "o")]
     if command == "mcl":
-        paths = [write_labels(tmp_path / (name + ".txt"), simple_world(1, score=0.9))
-                 for name in ("pred", "gt_t", "gt_tm1", "gt_tm2")]
-        flags = ["--pred", "--gt-t", "--gt-tm1", "--gt-tm2"]
-        return ["mcl"] + [v for pair in zip(flags, paths) for v in pair]
+        return mcl_argv(tmp_path)
     if command == "lkbb":
         (tmp_path / "chain.txt").write_text("conv 3 1 1 8\n")
         return ["lkbb", "--chain", str(tmp_path / "chain.txt")]
@@ -815,7 +901,6 @@ class TestConfigValueErrors:
         ("interval_ms = abc", "stream-eval"),
         ("latency_ms = x", "stream-eval"),
         ("iou = abc", "stream-eval"),
-        ("latency_trace = {tmp}/missing.txt", "stream-eval"),
         ("d = 1.5", "flow"),
         ("rd = two", "flow"),
         ("tau = x", "mcl"),
@@ -1220,7 +1305,7 @@ _CONFIG_VALUES = st.one_of(
 
 @st.composite
 def config_texts(draw):
-    keys = st.sampled_from(sorted(cli.CONFIG_KEYS) + ["latency-ms", "bogus"])
+    keys = st.sampled_from(sorted(cli.DEFAULTS) + ["latency-ms", "bogus"])
     lines = draw(st.lists(st.tuples(keys, _CONFIG_VALUES), max_size=4))
     return "".join("%s = %s\n" % kv for kv in lines) + draw(st.sampled_from(["", "novalue\n"]))
 

@@ -266,6 +266,18 @@ class TestBatchMcl:
         assert per_object == []
         assert mean == 0.0
 
+    @pytest.mark.parametrize("frame", [0, 1, 2])
+    @pytest.mark.parametrize("order", [(-1.0, -5.0), (-5.0, -1.0)])
+    def test_repeated_track_id_rejected(self, frame, order):
+        # the chain is linked by track id: the last of two rows used to win,
+        # so the loss depended on the order of the rows
+        chain = [[make_box(x=0.0, track_id=0)], [make_box(x=-2.0, track_id=0)],
+                 [make_box(x=-4.0, track_id=0)]]
+        chain[frame] = [make_box(x=x, track_id=0) for x in order] + [make_box(x=9.0, track_id=3)]
+        with pytest.raises(ValueError, match=r"ground truth at %s repeats track id 0$"
+                           % ("t", "t-1", "t-2")[frame]):
+            batch_mcl([make_box(x=2.0)], *chain)
+
     @pytest.mark.parametrize("opts", [
         dict(tau=float("nan")), dict(tau=math.inf), dict(tau=-1.0),
         dict(beta=float("nan")), dict(beta=math.inf), dict(beta=0.0),
