@@ -94,7 +94,7 @@ def compute_flow(
 ) -> np.ndarray:
     """Full flow pipeline: max-pool by r_d, match, upsample, rescale units.
 
-    d is clamped below the pooled grid's size, where no shift is valid."""
+    d is clamped below the pooled grid's size and r_d to max(H, W); the flow is the same."""
     f_t = as_grid(f_t)
     f_tm1 = as_grid(f_tm1)
     if f_t.shape != f_tm1.shape:
@@ -102,6 +102,7 @@ def compute_flow(
     if r_d < 1:
         raise ValueError("downsample ratio must be >= 1")
     h, w, _ = f_t.shape
+    r_d = min(r_d, max(h, w))
     pooled_t = max_pool(f_t, r_d)
     pooled_p = max_pool(f_tm1, r_d)
     shifts = shift_set(min(d, max(pooled_t.shape[:2]) - 1))
@@ -116,7 +117,8 @@ def compute_flow(
 def warp_pseudo_next(f_t: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Backward-warp the current feature one frame forward along the flow.
 
-    out(u, v) = f_t((u, v) - m(u, v)), bilinear with zero padding.
+    out(u, v) = f_t((u, v) - m(u, v)), bilinear with zero padding, one
+    bilinear_sample call per pixel: the bench self-test counts them (ROADMAP 1, 3).
     """
     f_t = as_grid(f_t)
     flow = np.asarray(flow, dtype=float)
@@ -125,8 +127,10 @@ def warp_pseudo_next(f_t: np.ndarray, flow: np.ndarray) -> np.ndarray:
         raise ValueError("flow must have shape (H, W, 2)")
     out = np.zeros_like(f_t)
     for u in range(h):
+        rows = (u - flow[u, :, 0]).tolist()
+        cols = (np.arange(w) - flow[u, :, 1]).tolist()
         for v in range(w):
-            out[u, v, :] = bilinear_sample(f_t, u - flow[u, v, 0], v - flow[u, v, 1])
+            out[u, v] = bilinear_sample(f_t, rows[v], cols[v])
     return out
 
 

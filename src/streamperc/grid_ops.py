@@ -8,6 +8,7 @@ size. Resizing uses align-corners coordinate mapping.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -102,19 +103,18 @@ def bilinear_sample(g: np.ndarray, row: float, col: float) -> np.ndarray:
     """Bilinear blend of the 4 neighbors; missing neighbors count as zero."""
     g = np.asarray(g, dtype=float)
     h, w, c = g.shape
-    r0 = int(np.floor(row))
-    c0 = int(np.floor(col))
+    r0 = math.floor(row)
+    c0 = math.floor(col)
     fr = row - r0
     fc = col - c0
     out = np.zeros(c)
-    for dr, wr in ((0, 1.0 - fr), (1, fr)):
-        for dc, wc in ((0, 1.0 - fc), (1, fc)):
+    for rr, wr in ((r0, 1.0 - fr), (r0 + 1, fr)):
+        if wr == 0.0 or not 0 <= rr < h:
+            continue
+        for cc, wc in ((c0, 1.0 - fc), (c0 + 1, fc)):
             weight = wr * wc
-            if weight == 0.0:
-                continue
-            rr, cc = r0 + dr, c0 + dc
-            if 0 <= rr < h and 0 <= cc < w:
-                out += weight * g[rr, cc, :]
+            if weight != 0.0 and 0 <= cc < w:
+                out += weight * g[rr, cc]
     return out
 
 

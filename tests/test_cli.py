@@ -556,6 +556,21 @@ class TestFlow:
         assert summary["flow_shape"] == [16, 16, 2]
         assert "flow_max_abs" in capsys.readouterr().out
 
+    def test_rd_beyond_float_range(self, tmp_path, capsys):
+        # a 400-digit ratio gives the bytes of the ratio clamped to the grid
+        write_fgrd(str(tmp_path / "cur.fgrd"), textured_grid(8, 8, 4, seed=1))
+        write_fgrd(str(tmp_path / "prev.fgrd"), textured_grid(8, 8, 4, seed=2))
+        outputs = {}
+        for rd in ("8", str(10**399)):
+            out = str(tmp_path / ("o" + rd[:2]))
+            assert cli.main(["flow", "--current", str(tmp_path / "cur.fgrd"),
+                             "--previous", str(tmp_path / "prev.fgrd"),
+                             "--output", out, "--rd", rd]) == 0
+            outputs[rd] = [Path(out + suffix).read_bytes() for suffix in ("_flow.fgrd", "_pseudo.fgrd")]
+            assert json.loads(Path(out + ".json").read_text())["config"]["rd"] == int(rd)
+        assert outputs["8"] == outputs[str(10**399)]
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("raw, message", [
         pytest.param(b"FGRD\x01\x00\x00", "truncated FGRD header: 7 of 20 bytes",
                      id="truncated-header"),

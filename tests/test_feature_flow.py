@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamperc.feature_flow import (
     argmax_flow,
@@ -11,7 +13,7 @@ from streamperc.feature_flow import (
     similarity_volume,
     warp_pseudo_next,
 )
-from streamperc.grid_ops import ConvSpec, conv2d
+from streamperc.grid_ops import ConvSpec, as_grid, bilinear_sample, conv2d
 
 from conftest import textured_grid, translate_grid
 
@@ -186,6 +188,18 @@ class TestComputeFlow:
         for d in (dmax + 1, dmax + 5):
             assert compute_flow(f_t, f_tm1, d=d, r_d=r_d).tobytes() == clamped
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 7), (8, 8)])
+    def test_rd_beyond_grid_is_clamped(self, shape):
+        # from max(H, W) up the pooled grid is 1x1 and the flow all -0.0; a
+        # ratio beyond the float range must not reach the unit rescale
+        rng = np.random.default_rng(len(shape))
+        f_t, f_tm1 = (rng.uniform(size=shape + (2,)) for _ in range(2))
+        side = max(shape)
+        clamped = compute_flow(f_t, f_tm1, d=3, r_d=side).tobytes()
+        assert clamped == np.full(shape + (2,), -0.0).tobytes()
+        for r_d in (side + 1, 10**20, 10**300, 10**400):
+            assert compute_flow(f_t, f_tm1, d=3, r_d=r_d).tobytes() == clamped
+
     def test_huge_d_stays_small(self):
         g = textured_grid(4, 4, 2, seed=3)
         f_t = translate_grid(g, 1, 0)
@@ -221,6 +235,95 @@ class TestWarpPseudoNext:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             warp_pseudo_next(textured_grid(3, 3, 1), np.zeros((2, 3, 2)))
+
+
+def ref_bilinear_sample(g: np.ndarray, row: float, col: float) -> np.ndarray:
+    """Bilinear blend of the 4 neighbors; missing neighbors count as zero."""
+    g = np.asarray(g, dtype=float)
+    h, w, c = g.shape
+    r0 = int(np.floor(row))
+    c0 = int(np.floor(col))
+    fr = row - r0
+    fc = col - c0
+    out = np.zeros(c)
+    for dr, wr in ((0, 1.0 - fr), (1, fr)):
+        for dc, wc in ((0, 1.0 - fc), (1, fc)):
+            weight = wr * wc
+            if weight == 0.0:
+                continue
+            rr, cc = r0 + dr, c0 + dc
+            if 0 <= rr < h and 0 <= cc < w:
+                out += weight * g[rr, cc, :]
+    return out
+
+
+def ref_warp_pseudo_next(f_t: np.ndarray, flow: np.ndarray) -> np.ndarray:
+    """Backward-warp the current feature one frame forward along the flow.
+
+    out(u, v) = f_t((u, v) - m(u, v)), bilinear with zero padding.
+    """
+    f_t = as_grid(f_t)
+    flow = np.asarray(flow, dtype=float)
+    h, w, _ = f_t.shape
+    if flow.shape != (h, w, 2):
+        raise ValueError("flow must have shape (H, W, 2)")
+    out = np.zeros_like(f_t)
+    for u in range(h):
+        for v in range(w):
+            out[u, v, :] = ref_bilinear_sample(f_t, u - flow[u, v, 0], v - flow[u, v, 1])
+    return out
+
+
+# Grid entries whose products and sums show a changed tap rule in the
+# bytes: signed zeros, subnormals, and ordinary values.
+SIGNED_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.0, -1.5]),
+    st.floats(-4.0, 4.0),
+)
+# Offsets (flows, or coordinates): integral, half-integral, fractional,
+# outside any small grid, and tiny fractions whose tap weights underflow
+# to 0.0 (k + 1e-300 rounds to k unless k is 0).
+OFFSETS = st.one_of(
+    st.integers(-4, 8).map(float),
+    st.integers(-8, 16).map(lambda k: k / 2),
+    st.floats(-4.0, 8.0),
+    st.sampled_from([-100.0, 100.0, 1e6]),
+    st.integers(-3, 3).map(lambda k: k + 1e-300),
+    st.sampled_from([1e-300, -1e-300, 5e-324, -5e-324, 1.0 - 1e-16, -0.0]),
+)
+
+
+@st.composite
+def grids(draw, entries=SIGNED_ENTRIES, max_side=5):
+    h, w, c = (draw(st.integers(1, n)) for n in (max_side, max_side, 3))
+    return np.array(draw(st.lists(entries, min_size=h * w * c,
+                                  max_size=h * w * c))).reshape(h, w, c)
+
+
+class TestSamplerMatchesReference:
+    """bilinear_sample and warp_pseudo_next equal, byte for byte, the
+    per-tap loop they replaced: same zero start, same skipped taps, same
+    order of additions."""
+
+    # An infinite entry turns a zero-weight tap into NaN, so the sampler's
+    # grids (unlike the warp's, which as_grid keeps finite) hold some.
+    @settings(max_examples=300, deadline=None)
+    @given(grids(st.one_of(SIGNED_ENTRIES, st.sampled_from([np.inf, -np.inf]))),
+           OFFSETS, OFFSETS, st.sampled_from([float, np.float64, np.float32]))
+    def test_sample_bytes(self, g, row, col, kind):
+        row, col = kind(row), kind(col)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got, want = bilinear_sample(g, row, col), ref_bilinear_sample(g, row, col)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_warp_bytes(self, data):
+        g = data.draw(grids())
+        h, w, _ = g.shape
+        flow = np.array(data.draw(st.lists(OFFSETS, min_size=2 * h * w,
+                                           max_size=2 * h * w))).reshape(h, w, 2)
+        assert warp_pseudo_next(g, flow).tobytes() == ref_warp_pseudo_next(g, flow).tobytes()
 
 
 class TestEndToEndTranslation:
