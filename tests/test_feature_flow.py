@@ -294,8 +294,8 @@ OFFSETS = st.one_of(
 
 
 @st.composite
-def grids(draw, entries=SIGNED_ENTRIES, max_side=5):
-    h, w, c = (draw(st.integers(1, n)) for n in (max_side, max_side, 3))
+def grids(draw, entries=SIGNED_ENTRIES):
+    h, w, c = (draw(st.integers(1, n)) for n in (5, 5, 3))
     return np.array(draw(st.lists(entries, min_size=h * w * c,
                                   max_size=h * w * c))).reshape(h, w, c)
 
