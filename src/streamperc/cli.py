@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -320,6 +321,7 @@ def cmd_lkbb(args):
     return {}, _json_text(payload)
 
 
+@functools.lru_cache(maxsize=None)  # one parser per process, shared by all main() calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="streamperc")
     parser.add_argument("--config", help="flat key = value config file")

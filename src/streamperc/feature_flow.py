@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_ops import ConvSpec, as_grid, bilinear_resize, bilinear_sample, conv2d, max_pool
+from .grid_ops import ConvSpec, as_grid, bilinear_resize, bilinear_sample, conv2d, conv_output_size, max_pool
 
 # Marks shifts whose sampling coordinate falls outside the grid.
 INVALID_SIMILARITY = -np.inf
@@ -125,6 +125,8 @@ def warp_pseudo_next(f_t: np.ndarray, flow: np.ndarray) -> np.ndarray:
     h, w, _ = f_t.shape
     if flow.shape != (h, w, 2):
         raise ValueError("flow must have shape (H, W, 2)")
+    if not np.all(np.isfinite(flow)):
+        raise ValueError("flow entries must be finite")
     out = np.zeros_like(f_t)
     for u in range(h):
         rows = (u - flow[u, :, 0]).tolist()
@@ -158,6 +160,10 @@ def fuse(
         raise ValueError(
             "reduction must map %d -> %d channels" % (c, q)
         )
+    size = tuple(conv_output_size(n, 1, reduce_weights.stride) for n in (h, w))
+    if size != (h, w):
+        raise ValueError("reduction maps a %r grid to %r; the residual add needs the input's size"
+                         % (f_t.shape, size + (q,)))
     reduced = [conv2d(g, reduce_weights) for g in (f_tm1, f_t, f_pseudo)]
     parts = reduced
     pad = c - 3 * q

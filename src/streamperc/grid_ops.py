@@ -107,15 +107,16 @@ def bilinear_sample(g: np.ndarray, row: float, col: float) -> np.ndarray:
     c0 = math.floor(col)
     fr = row - r0
     fc = col - c0
-    out = np.zeros(c)
+    out = None
     for rr, wr in ((r0, 1.0 - fr), (r0 + 1, fr)):
         if wr == 0.0 or not 0 <= rr < h:
             continue
         for cc, wc in ((c0, 1.0 - fc), (c0 + 1, fc)):
             weight = wr * wc
             if weight != 0.0 and 0 <= cc < w:
-                out += weight * g[rr, cc]
-    return out
+                tap = g[rr, cc] if weight == 1.0 else weight * g[rr, cc]  # 1.0 * x is x
+                out = tap + (0.0 if out is None else out)  # a +0.0 start: -0.0 + 0.0 is +0.0
+    return np.zeros(c) if out is None else out
 
 
 def bilinear_resize(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -145,17 +146,27 @@ def bilinear_resize(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fr) + bot * fr
 
 
+def _tap_weights(spec: ConvSpec, width: int) -> np.ndarray:
+    """Each tap's weights as _tap_product takes them: (kh, kw, out, in/groups), or
+    (kh, kw, width * out) with one input channel per group, tiled along a row."""
+    w = spec.weights.transpose(2, 3, 0, 1)
+    return np.tile(w[..., 0], width) if spec.in_channels == spec.groups else w
+
+
 def _tap_product(x: np.ndarray, w_tap: np.ndarray, groups: int) -> np.ndarray:
-    """One kernel tap, all output channels: (..., in) by (out, in/groups) -> (..., out).
+    """One kernel tap, all output channels: (rows, W, in) by (out, in/groups) -> (rows, W, out).
 
     Bit-identical, once added to a sum that starts at +0.0, to one matrix-vector
     product per output channel, or one multiply when a group has one input
-    channel; a batched gemm or einsum is not, as it sums in another order.
+    channel; a batched gemm or einsum is not, as it sums in another order. In
+    that case w_tap holds a whole row's weights (_tap_weights): one multiply a row.
     """
+    if w_tap.ndim == 1:
+        out_c = len(w_tap) // x.shape[1]
+        x = x[..., np.arange(out_c) // (out_c // groups)] if out_c > groups else x
+        return (x.reshape(len(x), -1) * w_tap).reshape(x.shape)
     out_c, in_per_group = w_tap.shape
     starts = np.arange(out_c) // (out_c // groups) * in_per_group
-    if in_per_group == 1:
-        return (x[..., starts] if out_c > groups else x) * w_tap[:, 0]
     return np.stack([x[..., i : i + in_per_group] @ w for i, w in zip(starts, w_tap)], axis=-1)
 
 
@@ -174,10 +185,11 @@ def conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     keff_h = (kh - 1) * d + 1
     keff_w = (kw - 1) * d + 1
     ph, pw = keff_h // 2, keff_w // 2
-    padded = np.pad(g, ((ph, ph), (pw, pw), (0, 0)))
+    padded = np.pad(g, ((ph, ph), (pw, pw), (0, 0))) if ph or pw else g
     ho = conv_output_size(h, kh, s, d)
     wo = conv_output_size(w, kw, s, d)
     out = np.zeros((ho, wo, spec.out_channels))
+    taps = _tap_weights(spec, wo)
     # Each tap adds into a cache-sized block of output rows, in (ki, kj) order from 0.0.
     for r0 in range(0, ho, _ROW_BLOCK):
         rows = slice(r0, r0 + _ROW_BLOCK)
@@ -187,7 +199,7 @@ def conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
                     ki * d : ki * d + (ho - 1) * s + 1 : s,
                     kj * d : kj * d + (wo - 1) * s + 1 : s,
                 ]
-                out[rows] += _tap_product(patch[rows], spec.weights[:, :, ki, kj], spec.groups)
+                out[rows] += _tap_product(patch[rows], taps[ki, kj], spec.groups)
     if spec.bias is not None:
         out += spec.bias
     return out
@@ -211,10 +223,11 @@ def transpose_conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     ho = conv_output_size(h, kh, s, transpose=True)
     wo = conv_output_size(w, kw, s, transpose=True)
     out = np.zeros((ho, wo, spec.out_channels))
+    taps = _tap_weights(spec, w)
     for ki in range(kh):
         for kj in range(kw):
             out[ki : ki + (h - 1) * s + 1 : s, kj : kj + (w - 1) * s + 1 : s] += (
-                _tap_product(g, spec.weights[:, :, ki, kj], spec.groups)
+                _tap_product(g, taps[ki, kj], spec.groups)
             )
     if spec.bias is not None:
         out += spec.bias

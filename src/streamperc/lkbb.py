@@ -116,10 +116,14 @@ def lka_forward(
 ) -> np.ndarray:
     """Attention forward: pw(dwd7(dw5(g))) gating g element-wise."""
     g = as_grid(g)
-    c = g.shape[2]
+    h, w, c = g.shape
     for spec, name in ((dw5, "dw5"), (dwd7, "dwd7"), (pw, "pw")):
         if spec.in_channels != c or spec.out_channels != c:
             raise ValueError("%s must map %d -> %d channels" % (name, c, c))
+        size = tuple(conv_output_size(n, k, spec.stride, spec.dilation) for n, k in zip((h, w), spec.kernel))
+        if size != (h, w):
+            raise ValueError("%s maps a %r grid to %r; the gate needs the input's size"
+                             % (name, g.shape, size + (c,)))
     attention = conv2d(conv2d(conv2d(g, dw5), dwd7), pw)
     return attention * g
 

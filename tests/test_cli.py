@@ -4,6 +4,8 @@ import math
 import os
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -1159,6 +1161,58 @@ class TestUsageErrors:
                        "--output", str(tmp_path / "r")])
         assert rc == 3
         capsys.readouterr()
+
+
+class TestOneParserPerProcess:
+    """main() builds its parser once per process; no run may depend on the
+    runs before it in the same process."""
+
+    def test_sequence_writes_what_each_run_alone_writes(self, tmp_path, capsys):
+        gt = write_labels(tmp_path / "gt.txt", simple_world(3))
+        det = write_labels(tmp_path / "det.txt", simple_world(3, score=0.9))
+        (tmp_path / "cfg.txt").write_text("iou = 0.5\nclasses = Car\n")
+        runs = {name: head + [command, "--gt", gt, "--det", det, "--output", str(tmp_path / name)]
+                for name, head, command in (
+                    ("run_a", ["--config", str(tmp_path / "cfg.txt")], "eval"),
+                    ("run_b", [], "stream-eval"),
+                    ("run_c", [], "eval"))}
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+        def outputs(name):
+            """The bytes of each file run name wrote, which are then removed."""
+            files = {p.name: p.read_bytes() for p in tmp_path.glob(name + "*")}
+            for path in files:
+                (tmp_path / path).unlink()
+            return files
+
+        alone = []
+        for name, argv in runs.items():
+            done = subprocess.run([sys.executable, "-m", "streamperc.cli"] + argv, env=env,
+                                  capture_output=True, check=True)
+            alone.append((done.stdout, outputs(name)))
+        in_process = []
+        for name, argv in runs.items():
+            if name == "run_b":  # a usage error between runs
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(["eval", "--gt", gt])
+                assert exc.value.code == 2
+                capsys.readouterr()
+            assert cli.main(argv) == 0
+            in_process.append((capsys.readouterr().out.encode(), outputs(name)))
+        assert in_process == alone
+
+
+def test_cli_imports_numpy_and_the_stdlib_only():
+    """Importing streamperc.cli adds no top-level module outside the
+    standard library, numpy and streamperc."""
+    code = ("import sys; before = set(sys.modules); import streamperc.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "streamperc" in added
+    outside = sorted(set(added) - set(sys.stdlib_module_names) - {"numpy", "streamperc"})
+    assert not outside, "streamperc.cli imports modules outside numpy and the stdlib: %s" % outside
 
 
 # The files each command publishes, in publication order, for the arguments

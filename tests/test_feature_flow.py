@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -236,6 +237,15 @@ class TestWarpPseudoNext:
         with pytest.raises(ValueError):
             warp_pseudo_next(textured_grid(3, 3, 1), np.zeros((2, 3, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_flow_rejected(self, value, axis):
+        # NaN used to fail in int(), and inf with an OverflowError (a numerical error)
+        flow = np.zeros((3, 4, 2))
+        flow[1, 2, axis] = value
+        with pytest.raises(ValueError, match="^flow entries must be finite$"):
+            warp_pseudo_next(textured_grid(3, 4, 2), flow)
+
 
 def ref_bilinear_sample(g: np.ndarray, row: float, col: float) -> np.ndarray:
     """Bilinear blend of the 4 neighbors; missing neighbors count as zero."""
@@ -374,6 +384,13 @@ class TestFuse:
         assert out.shape == (2, 2, c)
         # padded tail is the pure residual
         assert np.array_equal(out[:, :, 6:], grids[1][:, :, 6:])
+
+    def test_strided_reduction_named(self, rng):
+        # numpy used to fail at the concat or the residual add
+        grids = [rng.normal(size=(8, 8, 6)) for _ in range(3)]
+        spec = ConvSpec(6, 2, (1, 1), stride=2, weights=rng.normal(size=(2, 6, 1, 1)))
+        with pytest.raises(ValueError, match="^" + re.escape("reduction maps a (8, 8, 6) grid to (4, 4, 2)")):
+            fuse(*grids, spec)
 
     def test_shape_mismatch(self):
         spec = ConvSpec(3, 1, (1, 1))

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamperc.grid_ops import (
     ConvSpec,
@@ -397,6 +399,47 @@ class TestSignedZeros:
         g = rng.normal(size=hw + (cin,))
         g[: hw[0] // 2] = 0.0
         spec = random_spec(rng, cin, cout, k, bias, **opts)
+        assert conv(g, spec).tobytes() == oracle(g, spec).tobytes()
+
+
+# Entries whose products show a changed tap rule in the bytes: signed zeros and subnormals.
+SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308])
+
+
+def with_special_entries(rng, shape):
+    """Normal draws with about a third of the entries ±0.0 or subnormal."""
+    a = rng.normal(size=shape)
+    mask = rng.random(shape) < 0.35
+    a[mask] = rng.choice(SPECIAL_ENTRIES, size=int(mask.sum()))
+    return a
+
+
+@st.composite
+def one_input_per_group_cases(draw):
+    """A grid and a depthwise or channel-multiplier spec, conv or transpose;
+    H is never a multiple of 16, so conv2d's last row block is ragged."""
+    transpose = draw(st.booleans())
+    c, mult, k = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 7))
+    dilation = 1 if transpose else draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 2))
+    h, w = draw(st.integers(1, 40).filter(lambda n: n % 16)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bias = with_special_entries(rng, (c * mult,)) if draw(st.booleans()) else None
+    spec = ConvSpec(c, c * mult, (k, k), stride, dilation, c, transpose,
+                    weights=with_special_entries(rng, (c * mult, 1, k, k)), bias=bias)
+    return with_special_entries(rng, (h, w, c)), spec
+
+
+class TestOneInputPerGroupBytes:
+    """Where a group has one input channel, each tap is one multiply over
+    whole rows; the bytes must equal the per-output-channel loops'."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_input_per_group_cases())
+    def test_matches_channel_loop(self, case):
+        g, spec = case
+        conv, oracle = ((transpose_conv2d, loop_transpose_conv2d) if spec.transpose
+                        else (conv2d, loop_conv2d))
         assert conv(g, spec).tobytes() == oracle(g, spec).tobytes()
 
 

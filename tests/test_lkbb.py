@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,19 @@ class TestLkaForward:
         bad_pw = _spec(4, 8, 1)
         with pytest.raises(ValueError):
             lka_forward(g, dw5, dwd7, bad_pw)
+
+    @pytest.mark.parametrize("index, bad, out_shape", [
+        pytest.param(0, _spec(4, 4, 5, stride=2, groups=4), (4, 4, 4), id="dw5-stride-2"),
+        pytest.param(1, _spec(4, 4, 4, dilation=3, groups=4), (9, 9, 4), id="dwd7-even-kernel"),
+        pytest.param(2, _spec(4, 4, 1, stride=2), (4, 4, 4), id="pw-stride-2"),
+    ])
+    def test_grid_size_change_names_layer(self, rng, index, bad, out_shape):
+        # numpy used to fail at the gate: "operands could not be broadcast together"
+        specs = list(self._specs(4))
+        specs[index] = bad
+        message = "%s maps a (8, 8, 4) grid to %r" % (("dw5", "dwd7", "pw")[index], out_shape)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            lka_forward(rng.standard_normal((8, 8, 4)), *specs)
 
 
 class TestLkbbFuse:
