@@ -389,7 +389,8 @@ class TestFuse:
         # numpy used to fail at the concat or the residual add
         grids = [rng.normal(size=(8, 8, 6)) for _ in range(3)]
         spec = ConvSpec(6, 2, (1, 1), stride=2, weights=rng.normal(size=(2, 6, 1, 1)))
-        with pytest.raises(ValueError, match="^" + re.escape("reduction maps a (8, 8, 6) grid to (4, 4, 2)")):
+        message = "reduction maps a (8, 8, 6) grid to (4, 4, 2)"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             fuse(*grids, spec)
 
     def test_shape_mismatch(self):
