@@ -81,9 +81,11 @@ def _load_detections(path: str) -> Dict[int, List[LabeledBox]]:
 
 def _load_sequences(gt_path: str, det_path: str):
     """Yield (name, gt frame map, det frame map) per sequence, at least one."""
-    if os.path.isdir(gt_path):
-        if not os.path.isdir(det_path):
-            raise ParseError("gt is a directory but detections are not")
+    gt_dir = os.path.isdir(gt_path)
+    if gt_dir != os.path.isdir(det_path):
+        raise ParseError("gt is a directory but detections are not" if gt_dir
+                         else "detections are a directory but gt is not")
+    if gt_dir:
         names = sorted(n for n in os.listdir(gt_path) if n.endswith(".txt"))
         if not names:
             raise ParseError("no sequences to evaluate")
@@ -310,6 +312,8 @@ def cmd_mcl(args):
 def cmd_lkbb(args):
     with open(args.chain) as f:
         chain = lkbb.parse_chain(f.read())
+    if not chain:
+        raise ParseError("chain names no layer")
     report = lkbb.complexity(chain, (args.height, args.width))
     payload = {
         "config": {"chain": args.chain, "input": [args.height, args.width]},

@@ -6,10 +6,9 @@ is (x, z); yaw rotates the l x w footprint about the vertical (y) axis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +38,9 @@ class Box3D:
 
     y is the *bottom* center per KITTI convention; the box spans [y-h, y]
     vertically. Boxes are immutable: the scalars every IoU reads are set at
-    construction, and the BEV footprint and the clipped intersection with
-    each other box are computed on first use; all are kept on the box.
+    construction, the BEV footprint on first use or by fill_corners (a
+    batch of boxes at once), and the clipped intersection with each other
+    box on first use; all are kept on the box.
     """
 
     center: tuple  # (x, y, z) meters
@@ -52,9 +52,11 @@ class Box3D:
 
     def __post_init__(self):
         h, w, l = self.dims
-        if not all(0 < d < math.inf for d in (h, w, l)):
+        inf = math.inf  # chained comparisons, each False for NaN
+        if not (0 < h < inf and 0 < w < inf and 0 < l < inf):
             raise ValueError("box dims must be positive and finite, got %r" % (self.dims,))
-        if not all(-math.inf < v < math.inf for v in (*self.center, self.yaw)):
+        x, y, z = self.center
+        if not (-inf < x < inf and -inf < y < inf and -inf < z < inf and -inf < self.yaw < inf):
             raise ValueError("box center and yaw must be finite, got %r, %r" % (self.center, self.yaw))
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
         # Plain attributes, not fields (so not in ==, repr or hash), set here:
@@ -66,37 +68,79 @@ class Box3D:
         # id(b) -> (b, area of this footprint clipped by b's)
         object.__setattr__(self, "_overlaps", {})
 
-    @functools.cached_property
-    def corners(self) -> tuple:
-        """bev_corners as a tuple of (x, z) float pairs, built on first use."""
-        return tuple(map(tuple, bev_corners(self).tolist()))
+    def __getattr__(self, name):
+        # Reached only for an attribute the box lacks. Box3D.corners, the
+        # bev_corners rows as a tuple of (x, z) float pairs, is built here
+        # on first use unless fill_corners built it before.
+        if name != "corners":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        fill_corners((self,))
+        return object.__getattribute__(self, "corners")
 
 
 def bev_corners(box: Box3D) -> np.ndarray:
-    """Return the 4 BEV footprint corners (x, z), counter-clockwise.
+    """Return the 4 BEV footprint corners (x, z), counter-clockwise: the
+    one-box case of bev_footprints."""
+    return bev_footprints((box,))[0]
 
-    The footprint is l (along heading) by w, rotated by yaw about the
-    box center.
+
+# Local corners (forward, left) in CCW order: (l, w) times these is
+# (+-l/2, +-w/2) exactly.
+_HALF_SIGNS = np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
+
+
+def bev_footprints(boxes: Sequence[Box3D]) -> np.ndarray:
+    """BEV footprint corners (x, z) of each box, counter-clockwise, shape (N, 4, 2).
+
+    Box i's footprint is l (along heading) by w, rotated by yaw about its
+    centre. One stacked ``local @ rot.T`` product and one translation add
+    make the same IEEE operations on the same operands as a product per box.
+    Corners whose shoelace is negative are reversed. Only rounding makes it
+    negative: with u = 2**-53 and M = max(|cx|, |cz|) + l + w >= every
+    |coordinate|, each coordinate is within 2uM of the exact rotation of the
+    footprint (area >= l*w*(1 - 4u)), which moves the shoelace by at most
+    4(l + w) * 2uM <= 8uM*M; evaluating it (two 4-term dot products of terms
+    <= M*M) adds at most 20uM*M. So it is positive once l*w > 30uM*M, about
+    3.3e-15 * M*M, and is evaluated only where l*w <= 1e-9 * (1 + M*M). The
+    1 keeps tiny footprints, where subnormals void relative error bounds, on
+    the test; an overflowing M*M is inf and skips nothing.
     """
-    cx, _, cz = box.center
-    _, w, l = box.dims
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    # local corners (forward, left) in CCW order
-    local = np.array(
-        [
-            [l / 2.0, w / 2.0],
-            [-l / 2.0, w / 2.0],
-            [-l / 2.0, -w / 2.0],
-            [l / 2.0, -w / 2.0],
-        ]
-    )
-    rot = np.array([[c, -s], [s, c]])
-    pts = local @ rot.T
-    pts[:, 0] += cx
-    pts[:, 1] += cz
-    if polygon_area(pts) < 0:
-        pts = pts[::-1]
+    rows, check = [], []
+    for i, b in enumerate(boxes):
+        cx, _, cz = b.center
+        _, w, l = b.dims
+        c, s = math.cos(b.yaw), math.sin(b.yaw)
+        m = max(abs(cx), abs(cz)) + l + w
+        if not l * w > 1e-9 * (1.0 + m * m):
+            check.append(i)
+        rows += (c, -s, s, c, l, w, cx, cz)  # one flat list: numpy reads it faster
+    f = np.array(rows, dtype=float).reshape(-1, 8)
+    rot = f[:, :4].reshape(-1, 2, 2)
+    pts = (f[:, None, 4:6] * _HALF_SIGNS) @ rot.transpose(0, 2, 1)
+    pts += f[:, None, 6:8]
+    for i in check:
+        if polygon_area(pts[i]) < 0:
+            pts[i] = pts[i, ::-1].copy()
     return pts
+
+
+def fill_corners(boxes: Iterable[Box3D]) -> None:
+    """Set Box3D.corners on each box that lacks it, from one bev_footprints
+    batch.
+
+    object.__getattribute__ skips Box3D.__getattr__, which would build the
+    corners. Reading or writing vars(box) instead would give each box an
+    instance dict, 64 bytes more.
+    """
+    todo = []
+    for b in boxes:
+        try:
+            object.__getattribute__(b, "corners")
+        except AttributeError:
+            todo.append(b)
+    if todo:
+        for b, pts in zip(todo, bev_footprints(todo).tolist()):
+            object.__setattr__(b, "corners", tuple(map(tuple, pts)))
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -217,6 +261,7 @@ def iou_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D], kind: str = "
         fn = iou_3d
     else:
         raise ValueError("kind must be 'bev' or '3d', got %r" % kind)
+    fill_corners([*boxes_a, *boxes_b])
     out = np.zeros((len(boxes_a), len(boxes_b)))
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .geometry import Box3D, iou_bev, iou_3d
+from .geometry import Box3D, fill_corners, iou_bev, iou_3d
 from .kitti_io import Difficulty, LabeledBox
 
 N_RECALL_POSITIONS = 40
@@ -142,6 +142,9 @@ def cell_records(
     id is its index in classes, the last one for a name given twice.
     """
     ids = {name: i for i, name in enumerate(classes)}
+    for preds, gts in pairs:  # one footprint batch per pair, of the boxes match_frame compares
+        fill_corners([*preds, *(g.box3d for g in gts if min(g.dims) > 0.0
+                                and (g.class_name in ids or g.class_name == "DontCare"))])
     for cls_name in classes:
         cid = ids[cls_name]
         cls_pairs = [([p for p in preds if p.class_id == cid], gts) for preds, gts in pairs]

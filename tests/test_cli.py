@@ -355,6 +355,27 @@ class TestStreamEval:
         assert rc == 3
         assert "data error: no sequences" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    @pytest.mark.parametrize("directory, err", [
+        pytest.param("gt", "gt is a directory but detections are not", id="gt-directory"),
+        pytest.param("det", "detections are a directory but gt is not", id="det-directory"),
+    ])
+    def test_file_and_directory_mix_is_named(self, tmp_path, capsys, command, directory, err):
+        # a --det directory beside a --gt file used to end in "[Errno 21] Is a directory"
+        paths = {}
+        for side, score in (("gt", None), ("det", 0.9)):
+            path = tmp_path / side
+            if side == directory:
+                path.mkdir()
+                path = path / "0000.txt"
+            write_labels(path, simple_world(2, score=score))
+            paths[side] = str(tmp_path / side)
+        rc = cli.main([command, "--gt", paths["gt"], "--det", paths["det"],
+                       "--output", str(tmp_path / "r")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: %s\n" % err and captured.out == ""
+
     @pytest.mark.parametrize("command", ["stream-eval", "streamer"])
     def test_missing_frames_reported(self, tmp_path, command):
         gt = write_labels(tmp_path / "gt.txt", simple_world(4))
@@ -743,6 +764,10 @@ class TestLkbb:
                      id="dwconv-changes-channels"),
         pytest.param("conv x 1 1 4", None, "line 1: invalid literal for int()", id="kernel-not-int"),
         pytest.param("conv 3 1", None, "line 1: expected 5 or 6 fields", id="too-few-fields"),
+        # a chain of no layer used to print an identity report (field 1, 0 params), exit 0
+        pytest.param("", None, "chain names no layer", id="empty"),
+        pytest.param("# attention cascade\n\n  # none yet", None, "chain names no layer",
+                     id="comments-only"),
     ])
     def test_is_data_error(self, tmp_path, capsys, line, hw, err):
         chain = tmp_path / "chain.txt"
@@ -758,23 +783,24 @@ class TestLkbb:
 class TestFootprintCache:
     def test_one_corner_build_per_box(self, tmp_path, monkeypatch):
         # two overlapping cars, so every detection/ground-truth pair of the
-        # 12 Car cells and their PR dump reaches the polygon clip
+        # 12 Car cells and their PR dump reaches the polygon clip; all four
+        # footprints are built once, in the frame pair's one batch
         world = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0) for i in range(2)]}
         dets = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0, score=0.9 - 0.1 * i)
                     for i in range(2)]}
         gt = write_labels(tmp_path / "gt.txt", world)
         det = write_labels(tmp_path / "det.txt", dets)
         built = []
-        orig = geometry.bev_corners
+        orig = geometry.bev_footprints
 
-        def counting(box):
-            built.append(id(box))
-            return orig(box)
+        def counting(boxes):
+            built.append([id(b) for b in boxes])
+            return orig(boxes)
 
-        monkeypatch.setattr(geometry, "bev_corners", counting)
+        monkeypatch.setattr(geometry, "bev_footprints", counting)
         assert cli.main(["eval", "--gt", gt, "--det", det,
                          "--output", str(tmp_path / "r")]) == 0
-        assert len(built) == len(set(built)) == 4
+        assert len(built) == 1 and len(built[0]) == len(set(built[0])) == 4
         payload = json.loads((tmp_path / "r.json").read_text())
         assert all(r["ap"] == pytest.approx(1.0) for r in payload["results"]
                    if r["class"] == "Car")

@@ -453,6 +453,40 @@ def vertically_disjoint_pairs(draw):
     return _box(x, y, z, da, draw(_YAW)), _box(x + dx, yb, z + dz, db, draw(_YAW))
 
 
+@st.composite
+def tiny_far_boxes(draw):
+    """A footprint of 1e-9..1e-3 m sides 1e2..1e11 m from the origin, where
+    rounding can flip the sign of the shoelace."""
+    r, t = 10.0 ** draw(st.floats(2.0, 11.0)), draw(st.floats(0.0, 2.0 * math.pi))
+    w, l = (10.0 ** draw(st.floats(-9.0, -3.0)) for _ in range(2))
+    return _box(r * math.cos(t), 0.0, r * math.sin(t), (1.0, w, l), draw(_YAW))
+
+
+_FOOTPRINT_BOXES = st.one_of(
+    st.builds(lambda c, d, yaw: _box(*c, d, yaw), _CENTER, _DIMS, _YAW), tiny_far_boxes())
+
+
+class TestBevFootprints:
+    def test_bytes_match_per_box_reference(self):
+        # ref_bev_corners is the one-box product as it stood before batching
+        flipped = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(st.lists(_FOOTPRINT_BOXES, min_size=1, max_size=12))
+        def check(boxes):
+            got = geometry.bev_footprints(boxes)
+            assert got.shape == (len(boxes), 4, 2)
+            geometry.fill_corners(boxes)
+            for box, pts in zip(boxes, got):
+                ref = ref_bev_corners(box)
+                assert pts.tobytes() == ref.tobytes()
+                assert np.array(box.corners).tobytes() == ref.tobytes()
+                flipped.append(ref.strides[0] < 0)  # reversed after a negative shoelace
+
+        check()
+        assert any(flipped), "no footprint took the reversal"
+
+
 class TestIouMatchesReference:
     """Bit-for-bit agreement of the fast path with the reference oracle."""
 
