@@ -203,62 +203,51 @@ def _ap_report(args, config, pairs, missing_frames, pr_dump=True):
     return files, stdout
 
 
-def _stream_sequences(args, class_ids: Dict[str, int]):
-    """Yield (schedule, outputs, gts, missing frames) per sequence.
-
-    The schedule simulates the worker on the sequence's frames, 0 to the
-    last labelled frame of either file; outputs are the evaluated classes'
-    Box3D detections per frame and gts the ground truth, both range-filtered
-    unless --no-range-filter; missing frames are the ground-truth frames
-    with no detection line. Every sequence uses the first n_frames entries
-    of the one latency trace.
-    """
-    for name, gts, dets in _load_sequences(args.gt, args.det):
-        n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
-        latencies = args.latency_trace
-        if latencies is None:
-            latencies = [args.latency_ms] * n_frames
-        if len(latencies) < n_frames:
-            raise ParseError("latency trace has %d entries for %d frames" % (len(latencies), n_frames))
-        schedule = streaming_sim.build_schedule(
-            n_frames, args.interval_ms, latencies[:n_frames], skip_stale=args.skip_stale
-        )
-        missing = [{"sequence": name, "frame": k} for k in sorted(gts) if k not in dets]
-        if not args.no_range_filter:
-            gts = {k: apply_range_filter(v) for k, v in gts.items()}
-            dets = {k: apply_range_filter(v) for k, v in dets.items()}
-        outputs = {k: _boxes_to_preds(v, class_ids) for k, v in dets.items()}
-        yield schedule, outputs, gts, missing
-
-
 def cmd_eval(args):
-    """eval and stream-eval: pair each ground-truth instant with the latest
-    finished output; eval's schedule has zero latency."""
+    """eval, stream-eval and streamer. Per sequence, simulate the worker on
+    frames 0 to the last labelled frame of either file, every sequence
+    taking the first n_frames entries of the one latency trace; note the
+    ground-truth frames with no detection line; range-filter both sides
+    unless --no-range-filter. Then pair each ground-truth instant j with the
+    latest finished output (eval's schedule has zero latency) or, for
+    streamer, with the Streamer's forecast to t_j, also dumped as rows of
+    _forecasts.txt."""
     class_ids, config = _label_options(args)
-    pairs, missing_frames = [], []
-    for schedule, outputs, gts, missing in _stream_sequences(args, class_ids):
-        pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
-        missing_frames.extend(missing)
-    return _ap_report(args, config, pairs, missing_frames)
-
-
-def cmd_streamer(args):
-    class_ids, config = _label_options(args)
-    all_pairs, dump_lines, missing_frames = [], [], []
+    streamer = args.mode == "streamer"
+    pairs, missing_frames, dump_lines = [], [], []
     # A diverging filter's NaN state exits 4 through to_box; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for schedule, det_boxes, gts, missing in _stream_sequences(args, class_ids):
-            missing_frames.extend(missing)
-            forecasts = forecast.stream_forecasts(schedule, det_boxes, class_ids.values())
-            for j, preds in enumerate(forecasts):
-                all_pairs.append((preds, gts.get(j, [])))
-                dump_lines.extend(
-                    "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f\n"
-                    % (j, p.track_id, args.classes[p.class_id], *p.dims, *p.center, p.yaw, p.score)
-                    for p in preds
-                )
-    files, stdout = _ap_report(args, config, all_pairs, missing_frames, pr_dump=False)
-    return {args.output + "_forecasts.txt": "".join(dump_lines).encode(), **files}, stdout
+        for name, gts, dets in _load_sequences(args.gt, args.det):
+            n_frames = max(max(gts, default=0), max(dets, default=0)) + 1
+            latencies = args.latency_trace
+            if latencies is None:
+                latencies = [args.latency_ms] * n_frames
+            if len(latencies) < n_frames:
+                raise ParseError("latency trace has %d entries for %d frames" % (len(latencies), n_frames))
+            schedule = streaming_sim.build_schedule(
+                n_frames, args.interval_ms, latencies[:n_frames], skip_stale=args.skip_stale
+            )
+            missing_frames.extend({"sequence": name, "frame": k} for k in sorted(gts) if k not in dets)
+            if not args.no_range_filter:
+                gts = {k: apply_range_filter(v) for k, v in gts.items()}
+                dets = {k: apply_range_filter(v) for k, v in dets.items()}
+            outputs = {k: _boxes_to_preds(v, class_ids) for k, v in dets.items()}
+            if not streamer:
+                pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
+                continue
+            forecasts = forecast.stream_forecasts(schedule, outputs, class_ids.values())
+            seq_pairs = [(preds, gts.get(j, [])) for j, preds in enumerate(forecasts)]
+            pairs.extend(seq_pairs)
+            dump_lines.extend(
+                "%d %d %s 0 0 0 0 0 0 0 %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f\n"
+                % (j, p.track_id, args.classes[p.class_id], *p.dims, *p.center, p.yaw, p.score)
+                for j, (preds, _) in enumerate(seq_pairs) for p in preds
+            )
+        del dets, outputs  # the last sequence's detections, which the report never reads
+    files, stdout = _ap_report(args, config, pairs, missing_frames, pr_dump=not streamer)
+    if streamer:
+        files = {args.output + "_forecasts.txt": "".join(dump_lines).encode(), **files}
+    return files, stdout
 
 
 def cmd_flow(args):
@@ -363,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("streamer", help="Kalman forecasting baseline + sAP")
     add_eval_opts(p)
     add_stream_opts(p)
-    p.set_defaults(func=cmd_streamer, mode="streamer")
+    p.set_defaults(func=cmd_eval, mode="streamer")
 
     p = sub.add_parser("flow", help="feature flow + pseudo-next warp on FGRD grids")
     p.add_argument("--current", required=True, help="FGRD grid at time t")

@@ -20,6 +20,10 @@ _DEGENERATE_AREA = 1e-12
 # Absolute margin (m) of the zero-overlap prefilter, far above _EDGE_EPS and
 # the rounding error of corner coordinates.
 _PREFILTER_GAP = 1e-6
+# Box dims (m) must lie below this. w*l and h*w*l overflow to inf for dims
+# near 1e103, and the union of two such boxes is then inf - inf = nan; any
+# bound up to about 1e100 keeps every area, volume and union finite.
+MAX_DIM = 1e6
 
 
 def normalize_angle(a: float) -> float:
@@ -53,8 +57,8 @@ class Box3D:
     def __post_init__(self):
         h, w, l = self.dims
         inf = math.inf  # chained comparisons, each False for NaN
-        if not (0 < h < inf and 0 < w < inf and 0 < l < inf):
-            raise ValueError("box dims must be positive and finite, got %r" % (self.dims,))
+        if not (0 < h < MAX_DIM and 0 < w < MAX_DIM and 0 < l < MAX_DIM):
+            raise ValueError("box dims must be positive and below %g m, got %r" % (MAX_DIM, self.dims))
         x, y, z = self.center
         if not (-inf < x < inf and -inf < y < inf and -inf < z < inf and -inf < self.yaw < inf):
             raise ValueError("box center and yaw must be finite, got %r, %r" % (self.center, self.yaw))

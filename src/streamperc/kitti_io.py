@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import Box3D
+from .geometry import MAX_DIM, Box3D
 
 
 class ParseError(ValueError):
@@ -134,8 +134,10 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
                 "line %d: frame index %d is not below %d" % (lineno, frame, MAX_FRAME_INDEX)
             )
         dims = tuple(nums[7:10])
-        if fields[2] != "DontCare" and min(dims) <= 0.0:  # KITTI DontCare may have dims -1
-            raise ParseError("line %d: dims must be positive, got %r" % (lineno, dims))
+        # KITTI DontCare may have dims -1, but no box may reach MAX_DIM
+        if max(dims) >= MAX_DIM or fields[2] != "DontCare" and min(dims) <= 0.0:
+            raise ParseError("line %d: dims must be positive and below %g m, got %r"
+                             % (lineno, MAX_DIM, dims))
         box = LabeledBox(
             frame_index=frame,
             track_id=track_id,

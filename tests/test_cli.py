@@ -537,6 +537,37 @@ class TestStreamer:
             dumps.append(Path(out + "_forecasts.txt").read_bytes())
         assert dumps[0] == dumps[1] and dumps[0]
 
+    def test_directory_dump_is_each_sequence_in_name_order(self, tmp_path):
+        # 0001 (two Cars, four frames) is written before 0000 (one Car,
+        # three frames): the dump follows the sorted names, and each
+        # sequence's instants and track ids restart at 0
+        worlds = {
+            "0001.txt": {f: [make_gt(frame=f, track_id=i, x=6.0 * i + 0.5 * f) for i in range(2)]
+                         for f in range(4)},
+            "0000.txt": {f: [make_gt(frame=f, x=-0.5 * f, z=20.0)] for f in range(3)},
+        }
+        for d in ("gt", "det"):
+            (tmp_path / d).mkdir()
+        for name, world in worlds.items():
+            write_labels(tmp_path / "gt" / name, world)
+            write_labels(tmp_path / "det" / name, {
+                f: [make_gt(frame=f, track_id=-1, x=b.location[0], z=b.location[2], score=0.9)
+                    for b in boxes] for f, boxes in world.items()})
+
+        def dump(gt, det, out):
+            assert cli.main(["streamer", "--gt", str(gt), "--det", str(det),
+                             "--output", str(tmp_path / out), "--latency-ms", "50"]) == 0
+            return (tmp_path / (out + "_forecasts.txt")).read_bytes()
+
+        alone = [dump(tmp_path / "gt" / name, tmp_path / "det" / name, name[:4])
+                 for name in sorted(worlds)]
+        merged = dump(tmp_path / "gt", tmp_path / "det", "both")
+        assert merged == b"".join(alone)
+        rows = [line.split()[:2] for line in merged.decode().splitlines()]
+        # latency 50 ms: instant 0 has no output, instant j >= 1 one row per Car
+        assert rows == ([[str(j), "0"] for j in (1, 2)]
+                        + [[str(j), str(i)] for j in (1, 2, 3) for i in range(2)])
+
     def test_diverging_filter_is_numerical_error(self, tmp_path, capsys):
         # a 1e147 s step overflows the covariance of a moving Car's track by
         # frame 3: the streamer exits 4, not 3, publishes nothing and says so
@@ -556,6 +587,51 @@ class TestStreamer:
         assert "np.float64" not in captured.err
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["det.txt", "gt.txt"]
+
+
+class TestStreamingGap:
+    """The paper's mechanism on a noise-free world, through all three modes.
+
+    Three Cars (h, w, l = 1.5, 1.6, 3.9, yaw 0, z = 10, 20, 30) move
+    d = 1.6 m along x, their length axis, per 100 ms frame, over N = 6
+    frames: 18 ground truths, all easy. A box and its copy d further on
+    overlap by (l - d) / (l + d) = 2.3 / 5.5 = 0.418 in BEV and in 3D (same
+    y and h): below 0.5, so a one-frame-stale box never matches, and at
+    least the Streamer's association IoU of 0.3, so a track's second hit
+    associates. With 50 ms latency and --skip-stale every frame is
+    processed, frame k finishing at 100k + 50 ms, so instant j sees frame
+    j - 1 and instant 0 sees nothing. Every score is 0.9, so each run's PR
+    curve is one point, and AP|R40 is precision times the recall positions
+    i/40 at or below the recall reached. In every Car cell (both IoUs, both
+    kinds, every level):
+    - eval matches all 18: AP 1;
+    - raw stream-eval pairs instant j with frame j - 1: no match, AP 0;
+    - a next-moment detector (frame k holds frame k + 1's boxes) matches
+      all but instant 0's 3: recall 15/18, 33 positions, AP 33/40;
+    - streamer forecasts a one-hit track in place, so instant 1's 3 boxes
+      are one frame stale (false positives); frame 1 is each track's second
+      hit, after which the forecast is exact: 12 matches of 18 at precision
+      12/15, 26 positions (26/40 <= 2/3 < 27/40), AP 26 * 0.8 / 40.
+    """
+
+    @staticmethod
+    def world(shift=0, score=None):
+        return {k: [make_gt(frame=k, track_id=i, x=1.6 * (k + shift), z=10.0 * (i + 1),
+                            score=score) for i in range(3)] for k in range(6)}
+
+    def test_next_moment_detector_closes_the_gap(self, tmp_path):
+        gt = write_labels(tmp_path / "gt.txt", self.world())
+        det = write_labels(tmp_path / "det.txt", self.world(score=0.9))
+        ahead = write_labels(tmp_path / "ahead.txt", self.world(shift=1, score=0.9))
+        stream = ["--latency-ms", "50", "--skip-stale"]
+        runs = [("eval", det, [], 1.0), ("stream-eval", det, stream, 0.0),
+                ("stream-eval", ahead, stream, 33 / 40), ("streamer", det, stream, 26 * 0.8 / 40)]
+        for n, (command, dets, flags, want) in enumerate(runs):
+            out = str(tmp_path / str(n))
+            assert cli.main([command, "--gt", gt, "--det", dets, "--output", out,
+                             "--no-range-filter", "--classes", "Car", *flags]) == 0
+            aps = [r["ap"] for r in json.loads(Path(out + ".json").read_text())["results"]]
+            assert aps == pytest.approx([want] * 12), command
 
 
 class TestFlow:
@@ -1026,6 +1102,12 @@ BAD_INPUT_ROWS = {
         "line 5: dims must be positive"),
     "out-of-range-zero-dim-gt": ("gt", 5, label_line(frame=1, track_id=5, z=80.0, h=0.0),
                                  "line 5: dims must be positive"),
+    # w*l overflowed to inf: a copy of the ground truth scored Car AP 0 with exit 0
+    "huge-dims-det": ("det", 3, label_line(frame=1, w=1e200, l=1e200, score=0.9),
+                      "line 3: dims must be positive and below 1e+06 m"),
+    "huge-dims-dontcare-gt": (
+        "gt", 5, label_line(frame=1, track_id=5, class_name="DontCare", w=1e200, l=1e200),
+        "line 5: dims must be positive and below 1e+06 m"),
     # the schedule starts at frame 0: a negative frame used to be scored by
     # eval and dropped by the streaming modes
     "negative-frame": ("gt", 2, label_line(frame=-1, track_id=1, x=6.0),

@@ -337,6 +337,8 @@ class TestBox3D:
         (0.0, 1.6, 3.9), (1.5, -1.6, 3.9), (1.5, 1.6, 0.0),
         (float("nan"), 1.6, 3.9), (1.5, float("nan"), 3.9), (1.5, 1.6, float("nan")),
         (float("inf"), 1.6, 3.9), (1.5, 1.6, float("inf")), (1.5, -float("inf"), 3.9),
+        # its volume overflowed to inf, so iou_3d with itself was inf - inf = nan
+        (1e150, 1e100, 1e100), (1.5, 1.6, geometry.MAX_DIM),
     ])
     def test_rejects_non_positive_or_non_finite_dims(self, dims):
         with pytest.raises(ValueError, match="dims must be positive"):

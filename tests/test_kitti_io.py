@@ -87,7 +87,8 @@ class TestParse:
         line = "0 -1 DontCare -1 -1 -10 50 50 60 60 -1 -1 -1 -1000 -1000 -1000 -10"
         assert parse_tracking_labels(line)[0][0].dims == (-1.0, -1.0, -1.0)
 
-    @pytest.mark.parametrize("dims", ["0 1.6 3.9", "1.5 -1.6 3.9", "1.5 1.6 0"])
+    # w = l = 1e200 used to overflow the BEV area, and a copy of the box scored AP 0
+    @pytest.mark.parametrize("dims", ["0 1.6 3.9", "1.5 -1.6 3.9", "1.5 1.6 0", "1.5 1e200 1e200"])
     @pytest.mark.parametrize("class_name", ["Car", "Van"])
     def test_non_positive_dims_name_line_number(self, dims, class_name):
         bad = "0 1 %s 0 0 0 100 100 150 150 %s 1 1 80 0" % (class_name, dims)
