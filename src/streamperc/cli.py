@@ -110,6 +110,9 @@ def _parse_classes(args) -> Dict[str, int]:
     args.classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not args.classes:
         raise ParseError("--classes names no class")
+    if "DontCare" in args.classes:
+        raise ParseError("--classes names DontCare, which marks ignored regions "
+                         "and is not an evaluated class")
     return {name: i for i, name in enumerate(args.classes)}
 
 

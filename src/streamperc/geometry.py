@@ -203,15 +203,6 @@ def _clip_area(poly: Sequence, clip: Sequence) -> float:
     return abs(polygon_area(np.asarray(poly)))
 
 
-def _circles_apart(a: Box3D, b: Box3D) -> bool:
-    """Whether the footprints' circumscribed circles lie more than _PREFILTER_GAP
-    apart (over the clip's on-edge tolerance, so the clip would give 0.0 too).
-    The IoUs run it after the degenerate-area test, before all other work."""
-    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal) + _PREFILTER_GAP
-    dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
-    return dx * dx + dz * dz > reach * reach
-
-
 def _bev_intersection(a: Box3D, b: Box3D) -> float:
     """BEV footprint intersection area of a clipped by b.
 
@@ -230,7 +221,13 @@ def _bev_intersection(a: Box3D, b: Box3D) -> float:
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Rotated IoU of the BEV footprints."""
     area_a, area_b = a.bev_area, b.bev_area
-    if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA or _circles_apart(a, b):
+    if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
+        return 0.0
+    # Footprints whose circumscribed circles lie more than _PREFILTER_GAP apart
+    # (over the clip's on-edge tolerance, so the clip would give 0.0 too).
+    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal) + _PREFILTER_GAP
+    dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
+    if dx * dx + dz * dz > reach * reach:
         return 0.0
     inter = _bev_intersection(a, b)
     if inter == 0.0 or (union := area_a + area_b - inter) <= _DEGENERATE_AREA:
@@ -243,7 +240,11 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 
     The vertical extent is [y - h, y]: y is the bottom-center coordinate.
     """
-    if a.bev_area < _DEGENERATE_AREA or b.bev_area < _DEGENERATE_AREA or _circles_apart(a, b):
+    if a.bev_area < _DEGENERATE_AREA or b.bev_area < _DEGENERATE_AREA:
+        return 0.0
+    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal) + _PREFILTER_GAP  # as in iou_bev
+    dx, dz = a.center[0] - b.center[0], a.center[2] - b.center[2]
+    if dx * dx + dz * dz > reach * reach:
         return 0.0
     # min(bottoms) - max(tops) by plain comparisons, which cost less than the builtins
     ya_bot, yb_bot = a.center[1], b.center[1]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D, fill_corners, iou_bev, iou_3d
@@ -50,19 +51,21 @@ def match_frame(
     in_scope: List[Box3D] = []
     ignorable: List[Box3D] = []
     for g in gts:
-        if g.class_name == "DontCare" and min(g.dims) <= 0.0:
-            continue  # a 2D-only KITTI region (dims -1) has no box to hit
-        if g.class_name == "DontCare" or class_name in (None, g.class_name):
-            scoped = g.class_name != "DontCare" and g.difficulty <= level
-            (in_scope if scoped else ignorable).append(g.box3d)
+        if g.class_name == "DontCare":
+            if min(g.dims) <= 0.0:
+                continue  # a 2D-only KITTI region (dims -1) has no box to hit
+            ignorable.append(g.box3d)
+        elif class_name is None or g.class_name == class_name:
+            (in_scope if g.difficulty <= level else ignorable).append(g.box3d)
     # looked up per call, so a patched metrics.iou_bev/iou_3d sees every call
     iou = iou_bev if iou_kind == "bev" else iou_3d
-    unclaimed = dict.fromkeys(range(len(in_scope)))  # in-scope indices, in order
+    unclaimed = dict(enumerate(in_scope))  # in-scope index -> box, in order
     records = []
-    for det in sorted(preds, key=lambda p: -p.score):
+    # a stable sort, so tied scores keep their input order
+    for det in sorted(preds, key=attrgetter("score"), reverse=True):
         best_gt, best_iou = None, 0.0
-        for gi in unclaimed:
-            v = iou(det, in_scope[gi])
+        for gi, box in unclaimed.items():
+            v = iou(det, box)
             if v >= iou_threshold and v > best_iou:
                 best_gt, best_iou = gi, v
         if best_gt is not None:
@@ -139,7 +142,9 @@ def cell_records(
 
     Each cell matches every pair's predictions of the class against its
     ground truth; records and n_gt are the totals over all pairs. A class's
-    id is its index in classes, the last one for a name given twice.
+    id is its index in classes, the last one for a name given twice. Each
+    class's cells see only the class's ground-truth rows and the DontCare
+    rows, all that match_frame scopes for it, listed once per pair.
     """
     ids = {name: i for i, name in enumerate(classes)}
     for preds, gts in pairs:  # one footprint batch per pair, of the boxes match_frame compares
@@ -147,7 +152,9 @@ def cell_records(
                                 and (g.class_name in ids or g.class_name == "DontCare"))])
     for cls_name in classes:
         cid = ids[cls_name]
-        cls_pairs = [([p for p in preds if p.class_id == cid], gts) for preds, gts in pairs]
+        cls_pairs = [([p for p in preds if p.class_id == cid],
+                      [g for g in gts if g.class_name == cls_name or g.class_name == "DontCare"])
+                     for preds, gts in pairs]
         for kind in iou_kinds:
             for thr in iou_thresholds:
                 for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):

@@ -1224,6 +1224,31 @@ class TestBadLabels:
             csvs.append((tmp_path / (name + ".csv")).read_text())
         assert csvs[0] == csvs[1]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer", "mcl"])
+    def test_dontcare_class_is_data_error(self, tmp_path, capsys, command, source):
+        # with a 2D-only DontCare detection row whose centre is in range this
+        # exited 3 with a box-dims message that named no file or line;
+        # without one, every DontCare cell read "absent"
+        argv = command_argv(tmp_path, command)
+        det = argv[argv.index("--pred" if command == "mcl" else "--det") + 1]
+        with open(det, "a") as f:
+            f.write("2 -1 DontCare -1 -1 -10 50 50 60 60 -1 -1 -1 0 1.5 10 0 0.5\n")
+        if command != "mcl":
+            argv[argv.index("--output") + 1] = str(tmp_path / "out")
+        else:
+            argv += ["--output", str(tmp_path / "out.json")]
+        if source == "flag":
+            argv += ["--classes", "Car,DontCare"]
+        else:
+            (tmp_path / "cfg.txt").write_text("classes = Car,DontCare\n")
+            argv = ["--config", str(tmp_path / "cfg.txt")] + argv
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("data error: --classes names DontCare, which marks ignored "
+                                "regions and is not an evaluated class\n")
+        assert captured.out == "" and not list(tmp_path.glob("out*"))
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])

@@ -251,6 +251,73 @@ class TestMatchFrameMatchesReference:
         assert got_calls == want_calls
 
 
+def ref_cell_records(pairs, classes, iou_thresholds, iou_kinds):
+    """cell_records by its definition: each cell calls match_frame with each
+    pair's predictions of the class and the pair's full ground-truth list."""
+    ids = {name: i for i, name in enumerate(classes)}
+    for cls_name in classes:
+        for kind in iou_kinds:
+            for thr in iou_thresholds:
+                for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
+                    records, n_gt = [], 0
+                    for preds, gts in pairs:
+                        mine = [p for p in preds if p.class_id == ids[cls_name]]
+                        res = match_frame(mine, gts, thr, level, kind, class_name=cls_name)
+                        records.extend(res.det_records)
+                        n_gt += res.n_in_scope_gt
+                    yield cls_name, kind, thr, level, records, n_gt
+
+
+@st.composite
+def _mixed_gt_rows(draw):
+    class_name = draw(st.sampled_from(["Car", "Pedestrian", "Cyclist", "Van", "DontCare"]))
+    dims = dict(l=draw(st.sampled_from([3.9, 2.0, 0.8])))
+    if class_name == "DontCare" and draw(st.booleans()):
+        dims = dict(h=-1.0, w=-1.0, l=-1.0)  # a 2D-only KITTI region
+    return make_gt(class_name=class_name, x=draw(_CENTRE_X), bbox_height=draw(st.integers(24, 41)),
+                   occlusion=draw(st.integers(0, 3)), **dims)
+
+
+class TestCellRecordsMatchesDefinition:
+    """cell_records, which hands each class's cells only the class's and the
+    DontCare ground truth, yields the cells of the full-list definition and
+    makes the same IoU calls in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(
+            st.lists(st.builds(make_box, x=_CENTRE_X, z=st.sampled_from([10.0, 10.5]),
+                               l=st.sampled_from([3.9, 2.0, 0.8]),
+                               score=st.sampled_from([0.3, 0.6, 0.9]),
+                               class_id=st.integers(0, 3)), max_size=5),
+            st.lists(_mixed_gt_rows(), max_size=6)), max_size=3),
+        classes=st.sampled_from([("Car", "Pedestrian", "Cyclist"), ("Car", "Car"),
+                                 ("Pedestrian", "Van", "Pedestrian"), ("Cyclist",)]),
+        iou_thresholds=st.sampled_from([(0.7, 0.5), (0.3,), (0.5, 0.5)]),
+        iou_kinds=st.sampled_from([("bev", "3d"), ("3d",)]),
+    )
+    def test_same_cells_and_calls(self, pairs, classes, iou_thresholds, iou_kinds):
+        def run(fn):
+            calls = []
+
+            def recorder(name, real):
+                def wrapper(a, b):
+                    calls.append((id(a), id(b), name))
+                    return real(a, b)
+                return wrapper
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "iou_bev", recorder("bev", metrics.iou_bev))
+                mp.setattr(metrics, "iou_3d", recorder("3d", metrics.iou_3d))
+                cells = list(fn(pairs, classes, iou_thresholds, iou_kinds))
+            return cells, calls
+
+        got, got_calls = run(metrics.cell_records)
+        want, want_calls = run(ref_cell_records)
+        assert got == want
+        assert got_calls == want_calls
+
+
 def exhaustive_ap_oracle(preds, gts, iou_threshold, level, kind="bev"):
     """Enumerate every score threshold, re-match the surviving detections,
     interpolate precision at the 40 recall positions."""
