@@ -10,7 +10,9 @@ targets forecast exactly after two observations.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -88,9 +90,15 @@ def new_track(track_id: int, box: Box3D) -> TrackState:
     )
 
 
-def _transition(dt: float) -> np.ndarray:
+def _transition(dt: float) -> np.ndarray:  # shared and read-only
+    return _cached_transition(dt, math.copysign(1.0, dt))  # 0.0 and -0.0 give unlike zeros
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_transition(dt: float, sign: float) -> np.ndarray:
     f = _EYE.copy()
     f[_POS, _VEL] = _EYE[_POS, _POS] * dt
+    f.flags.writeable = False
     return f
 
 

@@ -156,48 +156,41 @@ def polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.dot(v[:, 0], nxt[:, 1]) - np.dot(v[:, 1], nxt[:, 0]))
 
 
-def _clip_polygon(subject, cp1, cp2):
-    """Clip a polygon against the half-plane left of the edge cp1->cp2.
-
-    Points are (x, z) pairs of Python floats. A side value is the vertex's
-    signed distance from the edge times the edge length, so the tolerance
-    scales with the edge length too.
-    """
-    ex, ez = cp2[0] - cp1[0], cp2[1] - cp1[1]
-    sides = [ex * (p[1] - cp1[1]) - ez * (p[0] - cp1[0]) for p in subject]
-    tol = -_EDGE_EPS * math.hypot(ex, ez)
-    out = []
-    for i, cur in enumerate(subject):
-        prev = subject[i - 1]
-        sc, sp = sides[i], sides[i - 1]
-        if sc >= tol:
-            if sp < tol:
-                out.append(_intersect(prev, cur, cp1, cp2))
-            out.append(cur)
-        elif sp >= tol:
-            out.append(_intersect(prev, cur, cp1, cp2))
-    return out
-
-
-def _intersect(p1, p2, q1, q2):
-    """Point where line q1-q2 crosses segment p1-p2, clamped to the segment:
-    the lines of nearly parallel edges can meet far outside it."""
-    dpx, dpz = p2[0] - p1[0], p2[1] - p1[1]
-    dqx, dqz = q2[0] - q1[0], q2[1] - q1[1]
-    denom = dpx * dqz - dpz * dqx
-    if abs(denom) < _EDGE_EPS * _EDGE_EPS:
-        return (p2[0], p2[1])
-    t = min(max(((q1[0] - p1[0]) * dqz - (q1[1] - p1[1]) * dqx) / denom, 0.0), 1.0)
-    return (p1[0] + t * dpx, p1[1] + t * dpz)
-
-
 def _clip_area(poly: Sequence, clip: Sequence) -> float:
     """Intersection area of two convex counter-clockwise polygons given as
-    sequences of (x, z) float pairs, each with at least 3 vertices."""
-    for i in range(len(clip)):
+    sequences of (x, z) float pairs, each with at least 3 vertices.
+
+    poly is clipped by the half-plane left of each edge of clip in turn. A
+    side value is a vertex's signed distance from the edge times the edge
+    length, as is the on-edge tolerance. A new vertex, where the edge's line
+    crosses a subject edge, is clamped to that edge, since nearly parallel
+    lines can meet far outside it. The area is polygon_area's: its BLAS dot
+    products add in an order of their own, which a Python sum would not keep.
+    """
+    x1, z1 = clip[-1]
+    for x2, z2 in clip:
         if len(poly) < 3:
             return 0.0
-        poly = _clip_polygon(poly, clip[i - 1], clip[i])
+        ex, ez = x2 - x1, z2 - z1
+        tol = -_EDGE_EPS * math.hypot(ex, ez)
+        out = []
+        px, pz = poly[-1]
+        sp = ex * (pz - z1) - ez * (px - x1)
+        for cx, cz in poly:
+            sc = ex * (cz - z1) - ez * (cx - x1)
+            if (sc >= tol) != (sp >= tol):  # the subject edge (px, pz) -> (cx, cz) crosses
+                dpx, dpz = cx - px, cz - pz
+                denom = dpx * ez - dpz * ex
+                if abs(denom) < _EDGE_EPS * _EDGE_EPS:  # parallel edges
+                    out.append((cx, cz))
+                else:
+                    t = ((x1 - px) * ez - (z1 - pz) * ex) / denom
+                    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # as min(max(t, 0.0), 1.0)
+                    out.append((px + t * dpx, pz + t * dpz))
+            if sc >= tol:
+                out.append((cx, cz))
+            px, pz, sp = cx, cz, sc
+        poly, x1, z1 = out, x2, z2
     if len(poly) < 3:
         return 0.0
     return abs(polygon_area(np.asarray(poly)))
@@ -232,7 +225,7 @@ def iou_bev(a: Box3D, b: Box3D) -> float:
     inter = _bev_intersection(a, b)
     if inter == 0.0 or (union := area_a + area_b - inter) <= _DEGENERATE_AREA:
         return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return 0.0 if (v := inter / union) < 0.0 else 1.0 if v > 1.0 else v  # as min(max(v, 0.0), 1.0)
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -255,7 +248,7 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     inter *= overlap
     if (union := a.volume + b.volume - inter) <= _DEGENERATE_AREA:
         return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return 0.0 if (v := inter / union) < 0.0 else 1.0 if v > 1.0 else v  # as in iou_bev
 
 
 def iou_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D], kind: str = "bev") -> np.ndarray:

@@ -8,7 +8,6 @@ The occlusion level is an integer from -1 (DontCare) to 3.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -71,10 +70,14 @@ class LabeledBox:
             track_id=tid,
         )
 
-    @functools.cached_property
-    def box3d(self) -> Box3D:
-        """to_box3d() with class id 0, built on first use."""
-        return self.to_box3d()
+    def __getattr__(self, name):
+        # Reached only for an attribute the label lacks. box3d, to_box3d()
+        # with class id 0, is built on first use and kept as Box3D.corners is.
+        if name != "box3d":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        box = self.to_box3d()
+        object.__setattr__(self, "box3d", box)
+        return box
 
 
 def difficulty_of(gt: LabeledBox) -> Difficulty:
@@ -106,19 +109,16 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
     """Parse label text into a frame -> boxes map, preserving line order."""
     frames: Dict[int, List[LabeledBox]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) < 17:
-            raise ParseError(
-                "line %d: expected >=17 fields, got %d" % (lineno, len(fields))
-            )
+            raise ParseError("line %d: expected >=17 fields, got %d" % (lineno, len(fields)))
         if len(fields) > 18:
             raise ParseError("line %d: expected at most 18 fields, got %d" % (lineno, len(fields)))
         try:
             frame, track_id = int(fields[0]), int(fields[1])
-            nums = [float(v) for v in fields[3:]]
+            nums = list(map(float, fields[3:]))
         except ValueError as exc:
             raise ParseError("line %d: non-numeric field (%s)" % (lineno, exc)) from exc
         if not all(map(math.isfinite, nums)):
@@ -130,28 +130,18 @@ def parse_tracking_labels(text: str) -> Dict[int, List[LabeledBox]]:
         if frame < 0:
             raise ParseError("line %d: negative frame index %d" % (lineno, frame))
         if frame >= MAX_FRAME_INDEX:
-            raise ParseError(
-                "line %d: frame index %d is not below %d" % (lineno, frame, MAX_FRAME_INDEX)
-            )
+            raise ParseError("line %d: frame index %d is not below %d"
+                             % (lineno, frame, MAX_FRAME_INDEX))
         dims = tuple(nums[7:10])
         # KITTI DontCare may have dims -1, but no box may reach MAX_DIM
         if max(dims) >= MAX_DIM or fields[2] != "DontCare" and min(dims) <= 0.0:
             raise ParseError("line %d: dims must be positive and below %g m, got %r"
                              % (lineno, MAX_DIM, dims))
-        box = LabeledBox(
-            frame_index=frame,
-            track_id=track_id,
-            class_name=fields[2],
-            truncation=nums[0],
-            occlusion=int(nums[1]),
-            alpha=nums[2],
-            bbox2d=tuple(nums[3:7]),
-            dims=dims,
-            location=tuple(nums[10:13]),
-            rotation_y=nums[13],
-            score=nums[14] if len(nums) > 14 else None,
-        )
-        frames.setdefault(box.frame_index, []).append(box)
+        # positional, in field order: a keyword call costs more per line
+        box = LabeledBox(frame, track_id, fields[2], nums[0], int(nums[1]), nums[2],
+                         tuple(nums[3:7]), dims, tuple(nums[10:13]), nums[13],
+                         nums[14] if len(nums) > 14 else None)
+        frames.setdefault(frame, []).append(box)
     return frames
 
 

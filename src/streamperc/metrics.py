@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D, fill_corners, iou_bev, iou_3d
@@ -91,7 +91,7 @@ def pr_curve(
     """
     if n_gt <= 0 or not det_records:
         return []
-    recs = sorted(det_records, key=lambda r: -r[0])
+    recs = sorted(det_records, key=itemgetter(0), reverse=True)  # stable, as a sort on -score
     points = []
     tp = fp = 0
     n = len(recs)
@@ -142,7 +142,8 @@ def cell_records(
 
     Each cell matches every pair's predictions of the class against its
     ground truth; records and n_gt are the totals over all pairs. A class's
-    id is its index in classes, the last one for a name given twice. Each
+    id is its index in classes, the last one for a name given twice, and a
+    name given twice is matched once and its cells yielded again. Each
     class's cells see only the class's ground-truth rows and the DontCare
     rows, all that match_frame scopes for it, listed once per pair.
     """
@@ -150,7 +151,12 @@ def cell_records(
     for preds, gts in pairs:  # one footprint batch per pair, of the boxes match_frame compares
         fill_corners([*preds, *(g.box3d for g in gts if min(g.dims) > 0.0
                                 and (g.class_name in ids or g.class_name == "DontCare"))])
-    for cls_name in classes:
+    kept = {}  # name -> its cells, for a name given again later
+    for i, cls_name in enumerate(classes):
+        if cls_name in kept:
+            yield from kept[cls_name]
+            continue
+        kept[cls_name] = cells = [] if cls_name in classes[i + 1:] else None
         cid = ids[cls_name]
         cls_pairs = [([p for p in preds if p.class_id == cid],
                       [g for g in gts if g.class_name == cls_name or g.class_name == "DontCare"])
@@ -164,7 +170,10 @@ def cell_records(
                         res = match_frame(preds, gts, thr, level, kind, class_name=cls_name)
                         records.extend(res.det_records)
                         n_gt += res.n_in_scope_gt
-                    yield cls_name, kind, thr, level, records, n_gt
+                    cell = (cls_name, kind, thr, level, records, n_gt)
+                    if cells is not None:
+                        cells.append(cell)
+                    yield cell
 
 
 def evaluate_pairs(

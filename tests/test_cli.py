@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamperc import cli, feature_flow, geometry, streaming_sim
+from streamperc import cli, feature_flow, geometry, metrics, streaming_sim
 from streamperc.grid_ops import fgrd_bytes, read_fgrd, write_fgrd
 from streamperc.kitti_io import format_tracking_labels
 
@@ -127,6 +127,27 @@ class TestEval:
             rows[classes] = out.with_suffix(".csv").read_text().splitlines()[1:]
         assert len(rows["Car"]) == 12
         assert rows["Car,Car"] == rows["Car"] * 2
+
+    def test_class_named_twice_is_matched_once(self, tmp_path, monkeypatch):
+        # the repeat's rows are written again, with no IoU call of their own
+        gt = write_labels(tmp_path / "gt.txt", simple_world())
+        det = write_labels(tmp_path / "det.txt", simple_world(score=0.9))
+        calls = []
+        for name in ("iou_bev", "iou_3d"):
+            def counting(a, b, real=getattr(metrics, name)):
+                calls.append(real)
+                return real(a, b)
+            monkeypatch.setattr(metrics, name, counting)
+        rows, n_calls = {}, {}
+        for classes in ("Car", "Car,Car"):
+            out = tmp_path / classes.replace(",", "_")
+            calls.clear()
+            assert cli.main(["eval", "--gt", gt, "--det", det, "--output", str(out),
+                             "--classes", classes]) == 0
+            rows[classes] = out.with_suffix(".csv").read_text().splitlines()[1:]
+            n_calls[classes] = len(calls)
+        assert rows["Car,Car"] == rows["Car"] * 2
+        assert n_calls["Car,Car"] == n_calls["Car"] > 0
 
     def test_determinism(self, tmp_path):
         gt = write_labels(tmp_path / "gt.txt", simple_world())
@@ -882,6 +903,43 @@ class TestFootprintCache:
                    if r["class"] == "Car")
 
 
+class TestIouExactlyAtThreshold:
+    """An IoU equal to --iou passes it: yaw-0 4 x 2 m footprints 1 m apart
+    along their length score 6 / 10, the literal 0.6, as BEV and 3D IoU."""
+
+    @staticmethod
+    def aps(tmp_path, gts, dets):
+        gt = write_labels(tmp_path / "gt.txt", {0: gts})
+        det = write_labels(tmp_path / "det.txt", {0: dets})
+        out = tmp_path / "r"
+        assert cli.main(["eval", "--gt", gt, "--det", det, "--output", str(out),
+                         "--classes", "Car", "--iou", "0.6"]) == 0
+        results = json.loads(out.with_suffix(".json").read_text())["results"]
+        assert [r["kind"] for r in results] == ["bev"] * 3 + ["3d"] * 3
+        return [r["ap"] for r in results], out.with_name("r_pr.dat").read_text()
+
+    def test_tp(self, tmp_path):
+        aps, pr = self.aps(tmp_path, [make_gt(w=2.0, l=4.0)],
+                           [make_gt(x=1.0, w=2.0, l=4.0, score=0.9)])
+        assert aps == [1.0] * 6
+        assert pr.count("1.000000 1.000000 0.900000") == 6
+
+    @pytest.mark.parametrize("gt_row", [
+        pytest.param(dict(class_name="DontCare"), id="dontcare"),
+        pytest.param(dict(bbox_height=26, occlusion=2, truncation=0.4), id="harder"),
+    ])
+    def test_ignore_match(self, tmp_path, gt_row):
+        # the top detection meets the ignorable row at exactly 0.6; were it a
+        # false positive, precision would drop to 1/2 and every AP with it
+        # (at hard the harder row is in scope, and the detection its TP)
+        gts = [make_gt(w=2.0, l=4.0), make_gt(x=20.0, w=2.0, l=4.0, **gt_row)]
+        dets = [make_gt(w=2.0, l=4.0, score=0.8), make_gt(x=21.0, w=2.0, l=4.0, score=0.9)]
+        aps, pr = self.aps(tmp_path, gts, dets)
+        assert aps == [1.0] * 6
+        points = [line.split() for line in pr.splitlines() if line and line[0] != "#"]
+        assert points and all(precision == "1.000000" for _, precision, _ in points)
+
+
 class TestOverlapMemo:
     def test_one_clip_per_box_pair(self, tmp_path, monkeypatch):
         # two cars and two detections turned a quarter: each detection
@@ -1223,6 +1281,22 @@ class TestBadLabels:
                              "--output", out, "--no-range-filter"]) == 0
             csvs.append((tmp_path / (name + ".csv")).read_text())
         assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    def test_dontcare_with_zero_dims_is_skipped(self, tmp_path, command):
+        # dims 0 0 0 parse for DontCare; the row has no box to hit, so every
+        # report is byte-equal to the one without it
+        gt_text = format_tracking_labels(simple_world(3))
+        dontcare = "1 -1 DontCare -1 -1 -10 50 50 60 60 0 0 0 0 1.5 10 0\n"
+        det = write_labels(tmp_path / "det.txt", simple_world(3, score=0.9))
+        reports = []
+        for name, text in (("plain", gt_text), ("dontcare", gt_text + dontcare)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "gt.txt").write_text(text)
+            assert cli.main([command, "--gt", str(tmp_path / name / "gt.txt"), "--det", det,
+                             "--output", str(tmp_path / name / "r")]) == 0
+            reports.append({f: (tmp_path / name / f).read_bytes() for f in PUBLISHED[command]})
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer", "mcl"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamperc import forecast
 from streamperc.forecast import (
     MAX_MISSES,
     MEAS_DIM,
@@ -58,6 +59,30 @@ class TestKfPredict:
     def test_negative_dt(self):
         with pytest.raises(ValueError):
             kf_predict(new_track(0, make_box()), -0.1)
+
+
+def old_transition(dt):
+    """A verbatim copy of forecast._transition before it was cached."""
+    f = forecast._EYE.copy()
+    f[forecast._POS, forecast._VEL] = forecast._EYE[forecast._POS, forecast._POS] * dt
+    return f
+
+
+class TestCachedTransition:
+    def test_shared_and_read_only(self):
+        f = forecast._transition(0.1)
+        assert forecast._transition(0.1) is f
+        with pytest.raises(ValueError, match="read-only"):
+            f[0, 7] = 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0, 1, 0.1, 1e-300, 5e-324]),
+                              st.floats(0.0, 1e3)), min_size=1, max_size=12))
+    def test_bytes_of_a_fresh_transition(self, dts):
+        # repeated and interleaved: 0.0 and -0.0 are equal keys of a plain
+        # cache but give zeros of different signs
+        for dt in dts + dts[::-1]:
+            assert forecast._transition(dt).tobytes() == old_transition(dt).tobytes()
 
 
 class TestKfUpdate:

@@ -531,6 +531,109 @@ class TestIouMatchesReference:
         assert polygon_area(vertices).hex() == ref_polygon_area(vertices).hex()
 
 
+# Verbatim copies of the polygon clip as it stood before it was fused into
+# one geometry._clip_area (only the names are changed), the oracle of
+# TestFusedClipMatchesOldClip.
+def old_clip_polygon(subject, cp1, cp2):
+    """Clip a polygon against the half-plane left of the edge cp1->cp2.
+
+    Points are (x, z) pairs of Python floats. A side value is the vertex's
+    signed distance from the edge times the edge length, so the tolerance
+    scales with the edge length too.
+    """
+    ex, ez = cp2[0] - cp1[0], cp2[1] - cp1[1]
+    sides = [ex * (p[1] - cp1[1]) - ez * (p[0] - cp1[0]) for p in subject]
+    tol = -_EDGE_EPS * math.hypot(ex, ez)
+    out = []
+    for i, cur in enumerate(subject):
+        prev = subject[i - 1]
+        sc, sp = sides[i], sides[i - 1]
+        if sc >= tol:
+            if sp < tol:
+                out.append(old_intersect(prev, cur, cp1, cp2))
+            out.append(cur)
+        elif sp >= tol:
+            out.append(old_intersect(prev, cur, cp1, cp2))
+    return out
+
+
+def old_intersect(p1, p2, q1, q2):
+    """Point where line q1-q2 crosses segment p1-p2, clamped to the segment:
+    the lines of nearly parallel edges can meet far outside it."""
+    dpx, dpz = p2[0] - p1[0], p2[1] - p1[1]
+    dqx, dqz = q2[0] - q1[0], q2[1] - q1[1]
+    denom = dpx * dqz - dpz * dqx
+    if abs(denom) < _EDGE_EPS * _EDGE_EPS:
+        return (p2[0], p2[1])
+    t = min(max(((q1[0] - p1[0]) * dqz - (q1[1] - p1[1]) * dqx) / denom, 0.0), 1.0)
+    return (p1[0] + t * dpx, p1[1] + t * dpz)
+
+
+def old_clip_area(poly, clip):
+    """Intersection area of two convex counter-clockwise polygons given as
+    sequences of (x, z) float pairs, each with at least 3 vertices."""
+    for i in range(len(clip)):
+        if len(poly) < 3:
+            return 0.0
+        poly = old_clip_polygon(poly, clip[i - 1], clip[i])
+    if len(poly) < 3:
+        return 0.0
+    return abs(polygon_area(np.asarray(poly)))
+
+
+# Side coordinates of axis-aligned rectangles. Against an edge on 0 (or on
+# +-5e-10, 1e-9, 2e-9), a vertex 1e-9 m outside has a side value of exactly
+# the on-edge tolerance, -1e-9 times the edge length: 1e-9 is 2 * 5e-10 and
+# 2e-9 is 2 * 1e-9 in binary too, so these differences are exact.
+_ON_EDGE_COORDS = st.sampled_from(
+    [-2.0, -1.0, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9, 3e-9, 1.0, 2.0])
+
+
+@st.composite
+def on_edge_rectangles(draw):
+    """Two counter-clockwise axis-aligned rectangles whose vertices lie on,
+    or exactly the tolerance outside, each other's edges."""
+    def rectangle():
+        x0, x1 = sorted(draw(st.lists(_ON_EDGE_COORDS, min_size=2, max_size=2, unique=True)))
+        z0, z1 = sorted(draw(st.lists(_ON_EDGE_COORDS, min_size=2, max_size=2, unique=True)))
+        corners = ((x0, z0), (x1, z0), (x1, z1), (x0, z1))
+        k = draw(st.integers(0, 3))  # any vertex may come first
+        return corners[k:] + corners[:k]
+    return rectangle(), rectangle()
+
+
+def _box_corner_pairs(pairs):
+    return pairs.map(lambda ab: (ab[0].corners, ab[1].corners))
+
+
+class TestFusedClipMatchesOldClip:
+    """geometry._clip_area, one fused loop, gives the bits of the three
+    functions it replaced, both ways round."""
+
+    @pytest.mark.parametrize("pairs", [
+        pytest.param(_box_corner_pairs(random_pairs()), id="random"),
+        pytest.param(_box_corner_pairs(identical_pairs()), id="identical"),
+        pytest.param(_box_corner_pairs(near_touching_pairs()), id="near-touching"),
+        pytest.param(_box_corner_pairs(near_touching_pairs(_TINY_DIMS, st.floats(0.0, 2e-5))),
+                     id="tiny-near-touching"),
+        pytest.param(on_edge_rectangles(), id="on-edge"),
+    ])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_area_bit_identical(self, pairs, data):
+        a, b = data.draw(pairs)
+        for p, q in ((a, b), (b, a)):
+            assert geometry._clip_area(p, q).hex() == old_clip_area(p, q).hex()
+
+    def test_vertex_exactly_the_tolerance_outside_is_on_the_edge(self):
+        # the subject's lower side lies 1e-9 m below the clip's, which is the
+        # tolerance exactly, so it counts as on the edge: the overlap is the
+        # whole 1 m x (1 m + 1e-9 m) subject
+        clip = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0))
+        subject = ((0.5, -1e-9), (1.5, -1e-9), (1.5, 1.0), (0.5, 1.0))
+        assert geometry._clip_area(subject, clip) == old_clip_area(subject, clip) == 1.0 + 1e-9
+
+
 class TestTinyDisjointFootprints:
     """Disjoint sub-millimetre footprints score 0, as +0.0. The clip's
     on-edge tolerance used to be an absolute cross product, about 1e-9 /

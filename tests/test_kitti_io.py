@@ -1,11 +1,17 @@
 import dataclasses
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamperc import kitti_io
+from streamperc.geometry import MAX_DIM
 from streamperc.kitti_io import (
+    MAX_FRAME_INDEX,
     Difficulty,
+    LabeledBox,
     ParseError,
     apply_range_filter,
     format_tracking_labels,
@@ -47,6 +53,22 @@ class TestParse:
         box = parse_tracking_labels(GT_LINE)[0][0]
         assert box.box3d is box.box3d
         assert box.box3d == box.to_box3d()
+
+    def test_box3d_built_once_per_label(self, monkeypatch):
+        calls = []
+        orig = LabeledBox.to_box3d
+
+        def counting(self, class_id=0):
+            calls.append(id(self))
+            return orig(self, class_id)
+
+        monkeypatch.setattr(LabeledBox, "to_box3d", counting)
+        boxes = parse_tracking_labels("\n".join([GT_LINE, DET_LINE]))[0]
+        built = [[b.box3d for b in boxes] for _ in range(3)]
+        assert sorted(calls) == sorted(map(id, boxes))
+        assert all(x is y for again in built[1:] for x, y in zip(built[0], again))
+        with pytest.raises(AttributeError, match="no attribute 'box3e'"):
+            boxes[0].box3e
 
     def test_difficulty_computed_once(self, monkeypatch):
         calls = []
@@ -176,3 +198,129 @@ class TestRangeFilter:
         out = apply_range_filter(boxes)
         assert all(b in boxes for b in out)
         assert len(out) < len(boxes)
+
+
+def old_parse_tracking_labels(text):
+    """A verbatim copy of parse_tracking_labels as it stood before it was
+    made one pass per line: the oracle of TestParserMatchesOldParser."""
+    frames = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) < 17:
+            raise ParseError(
+                "line %d: expected >=17 fields, got %d" % (lineno, len(fields))
+            )
+        if len(fields) > 18:
+            raise ParseError("line %d: expected at most 18 fields, got %d" % (lineno, len(fields)))
+        try:
+            frame, track_id = int(fields[0]), int(fields[1])
+            nums = [float(v) for v in fields[3:]]
+        except ValueError as exc:
+            raise ParseError("line %d: non-numeric field (%s)" % (lineno, exc)) from exc
+        if not all(map(math.isfinite, nums)):
+            raise ParseError("line %d: non-finite numeric field" % lineno)
+        if not nums[1].is_integer():
+            raise ParseError("line %d: occlusion %r is not an integer" % (lineno, nums[1]))
+        if not -1 <= nums[1] <= 3:
+            raise ParseError("line %d: occlusion %d is outside -1..3" % (lineno, nums[1]))
+        if frame < 0:
+            raise ParseError("line %d: negative frame index %d" % (lineno, frame))
+        if frame >= MAX_FRAME_INDEX:
+            raise ParseError(
+                "line %d: frame index %d is not below %d" % (lineno, frame, MAX_FRAME_INDEX)
+            )
+        dims = tuple(nums[7:10])
+        # KITTI DontCare may have dims -1, but no box may reach MAX_DIM
+        if max(dims) >= MAX_DIM or fields[2] != "DontCare" and min(dims) <= 0.0:
+            raise ParseError("line %d: dims must be positive and below %g m, got %r"
+                             % (lineno, MAX_DIM, dims))
+        box = LabeledBox(
+            frame_index=frame,
+            track_id=track_id,
+            class_name=fields[2],
+            truncation=nums[0],
+            occlusion=int(nums[1]),
+            alpha=nums[2],
+            bbox2d=tuple(nums[3:7]),
+            dims=dims,
+            location=tuple(nums[10:13]),
+            rotation_y=nums[13],
+            score=nums[14] if len(nums) > 14 else None,
+        )
+        frames.setdefault(box.frame_index, []).append(box)
+    return frames
+
+
+# Field values that reach each check: signs, zeros, integral and fractional
+# floats, exponents, underscores, non-finite and non-numeric text.
+_FIELD_VALUES = st.sampled_from([
+    "0", "-0", "1", "-1", "2", "3", "4", "7", "1.0", "1.7", "-0.0", "0.5", "1e-320", "1e6",
+    "999999", "1000000", "1e400", "-1e400", "nan", "NaN", "inf", "-inf", "1_000", "0x10",
+    "abc", "Car", "DontCare", "Van", "+3", "١",
+])
+# Separators that str.strip and str.split treat as whitespace, and line
+# ends of str.splitlines; \x0b and \x0c are both.
+_SPACES = st.sampled_from([" "] * 8 + ["  ", "\t", "\u3000", "\xa0"])
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+
+
+@st.composite
+def mutated_label_texts(draw):
+    """Valid ground-truth and detection lines with a few fields replaced,
+    dropped or added, joined by varied whitespace, with blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        fields = (DET_LINE if draw(st.booleans()) else GT_LINE).split()
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(fields) - 1))
+            op = draw(st.sampled_from(["replace", "replace", "drop", "add", "frame"]))
+            if op == "frame":  # the frame index, whose checks come after the others
+                fields[0] = draw(st.sampled_from(["-1", "-0", "999999", "1000000", "10**7"]))
+            elif op == "replace":
+                fields[i] = draw(_FIELD_VALUES)
+            elif op == "drop":
+                del fields[i]
+            else:
+                fields.insert(i, draw(_FIELD_VALUES))
+        line = "".join(f + draw(_SPACES) for f in fields)
+        lines.append(draw(_SPACES) + line if draw(st.booleans()) else line)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_SPACES) if draw(st.booleans()) else "")
+    return "".join(line + draw(_BREAKS) for line in lines)
+
+
+def _parsed(parse, text):
+    """(repr, difficulty) of each box per frame, or the ParseError's message."""
+    try:
+        frames = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return {f: [(repr(b), b.difficulty) for b in boxes] for f, boxes in frames.items()}
+
+
+class TestParserMatchesOldParser:
+    """parse_tracking_labels, one pass per line, gives the boxes and
+    difficulties of the parser it replaced, or the same ParseError."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(mutated_label_texts())
+    def test_same_boxes_or_error(self, text):
+        assert _parsed(parse_tracking_labels, text) == _parsed(old_parse_tracking_labels, text)
+
+    def test_fuzz_reaches_every_outcome(self):
+        kinds = [">=17 fields", "at most 18", "non-numeric", "non-finite", "not an integer",
+                 "outside -1..3", "negative frame", "is not below", "dims must be"]
+        outcomes = set()
+
+        @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+        @given(mutated_label_texts())
+        def collect(text):
+            got = _parsed(parse_tracking_labels, text)
+            outcomes.add("parsed" if isinstance(got, dict) else
+                         next(kind for kind in kinds if kind in got))
+
+        collect()
+        assert outcomes == {"parsed", *kinds}

@@ -98,6 +98,28 @@ class TestMatchFrame:
         assert res.det_records == [(0.9, "tp"), (0.8, "fp")]
         assert res.n_in_scope_gt == 1
 
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    def test_iou_exactly_at_threshold_is_a_tp(self, kind):
+        # yaw-0 4 x 2 m footprints 1 m apart along their length: 6 / 10,
+        # which is the literal 0.6 in both kinds
+        gts = [make_gt(w=2.0, l=4.0)]
+        det = make_box(x=1.0, z=10.0, w=2.0, l=4.0, score=0.9)
+        assert (metrics.iou_bev if kind == "bev" else metrics.iou_3d)(det, gts[0].box3d) == 0.6
+        res = match_frame([det], gts, 0.6, Difficulty.EASY, kind)
+        assert res.det_records == [(0.9, "tp")]
+
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    @pytest.mark.parametrize("gt", [
+        pytest.param(dict(class_name="DontCare"), id="dontcare"),
+        pytest.param(dict(bbox_height=26, occlusion=2, truncation=0.4), id="harder"),
+    ])
+    def test_iou_exactly_at_threshold_is_ignore_matched(self, kind, gt):
+        gts = [make_gt(w=2.0, l=4.0, **gt)]
+        det = make_box(x=1.0, z=10.0, w=2.0, l=4.0, score=0.9)
+        res = match_frame([det], gts, 0.6, Difficulty.EASY, kind, class_name="Car")
+        assert res.det_records == []
+        assert res.n_in_scope_gt == 0
+
     def test_reads_stored_difficulty(self, monkeypatch):
         gts = [make_gt(track_id=0), make_gt(track_id=1, x=10.0, bbox_height=30, occlusion=1)]
         preds = [make_box(z=10.0, score=0.9), make_box(x=10.0, z=10.0, score=0.8)]
@@ -281,7 +303,8 @@ def _mixed_gt_rows(draw):
 class TestCellRecordsMatchesDefinition:
     """cell_records, which hands each class's cells only the class's and the
     DontCare ground truth, yields the cells of the full-list definition and
-    makes the same IoU calls in the same order."""
+    makes the same IoU calls in the same order, except that a name given
+    again is matched once: the cells of its repeat make no IoU call."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -306,16 +329,23 @@ class TestCellRecordsMatchesDefinition:
                     return real(a, b)
                 return wrapper
 
+            cells, ends = [], []  # ends[i]: the calls made by the end of cell i
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(metrics, "iou_bev", recorder("bev", metrics.iou_bev))
                 mp.setattr(metrics, "iou_3d", recorder("3d", metrics.iou_3d))
-                cells = list(fn(pairs, classes, iou_thresholds, iou_kinds))
-            return cells, calls
+                for cell in fn(pairs, classes, iou_thresholds, iou_kinds):
+                    cells.append(cell)
+                    ends.append(len(calls))
+            return cells, calls, ends
 
-        got, got_calls = run(metrics.cell_records)
-        want, want_calls = run(ref_cell_records)
+        got, got_calls, _ = run(metrics.cell_records)
+        want, want_calls, ends = run(ref_cell_records)
         assert got == want
-        assert got_calls == want_calls
+        per_class = len(iou_kinds) * len(iou_thresholds) * 3
+        first_matches = [call for i, (start, end) in enumerate(zip([0] + ends, ends))
+                         if classes[i // per_class] not in classes[:i // per_class]
+                         for call in want_calls[start:end]]
+        assert got_calls == first_matches
 
 
 def exhaustive_ap_oracle(preds, gts, iou_threshold, level, kind="bev"):
@@ -419,7 +449,34 @@ class TestApR40MatchesScan:
         assert ap_r40(records, n_gt) == ref_ap_r40(records, n_gt)
 
 
+def ref_pr_curve(det_records, n_gt):
+    """pr_curve as it sorted before: on the negated score."""
+    if n_gt <= 0 or not det_records:
+        return []
+    recs = sorted(det_records, key=lambda r: -r[0])
+    points = []
+    tp = fp = 0
+    n = len(recs)
+    for i, (score, kind) in enumerate(recs):
+        if kind == "tp":
+            tp += 1
+        else:
+            fp += 1
+        if i + 1 < n and recs[i + 1][0] == score:
+            continue  # more records at this threshold
+        points.append((score, tp / (tp + fp), tp / n_gt))
+    return points
+
+
 class TestPrCurve:
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(st.tuples(_SCORES | st.sampled_from([0.0, -0.0]),
+                                      st.sampled_from(["tp", "fp"])), max_size=60),
+           n_gt=st.integers(0, 90))
+    def test_same_points_as_negated_sort(self, records, n_gt):
+        # repr tells -0.0 from 0.0: a tie group's point takes its last score
+        assert repr(pr_curve(records, n_gt)) == repr(ref_pr_curve(records, n_gt))
+
     def test_tied_scores_single_point(self):
         pts = pr_curve([(0.5, "tp"), (0.5, "fp")], 2)
         assert pts == [(0.5, 0.5, 0.5)]
