@@ -305,7 +305,7 @@ class TestParserMatchesOldParser:
     """parse_tracking_labels, one pass per line, gives the boxes and
     difficulties of the parser it replaced, or the same ParseError."""
 
-    @settings(max_examples=1500, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(mutated_label_texts())
     def test_same_boxes_or_error(self, text):
         assert _parsed(parse_tracking_labels, text) == _parsed(old_parse_tracking_labels, text)
@@ -315,7 +315,7 @@ class TestParserMatchesOldParser:
                  "outside -1..3", "negative frame", "is not below", "dims must be"]
         outcomes = set()
 
-        @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=500, deadline=None, derandomize=True, database=None)
         @given(mutated_label_texts())
         def collect(text):
             got = _parsed(parse_tracking_labels, text)
