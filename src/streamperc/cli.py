@@ -105,15 +105,14 @@ def _boxes_to_preds(boxes: List[LabeledBox], class_ids: Dict[str, int]) -> List[
 
 def _parse_classes(args) -> Dict[str, int]:
     """Parse args.classes in place into the class names in order; return
-    their ids: a name given twice keeps the index of its last position, as
-    metrics.cell_records numbers it."""
+    their ids, as metrics.class_ids numbers them for cell_records."""
     args.classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not args.classes:
         raise ParseError("--classes names no class")
     if "DontCare" in args.classes:
         raise ParseError("--classes names DontCare, which marks ignored regions "
                          "and is not an evaluated class")
-    return {name: i for i, name in enumerate(args.classes)}
+    return metrics.class_ids(args.classes)
 
 
 def _number(text: str, message: str) -> float:

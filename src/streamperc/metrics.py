@@ -1,10 +1,9 @@
 """Greedy matching, PR curves and AP-R40 over KITTI difficulty tiers
 (`kitti_io.Difficulty`, re-exported here).
 
-Evaluation at level L takes ground truth of difficulty <= L as in-scope;
-stricter GT, DontCare rows with a 3D extent, and GT that never qualifies
-are ignore-matched (detections hitting them are neither true nor false
-positives).
+At level L a class's ground truth, as _scoped keeps it, is in scope at
+difficulty <= L; the rest, DontCare included, is ignore-matched (detections
+hitting it are neither true nor false positives).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Box3D, fill_corners, iou_bev, iou_3d
 from .kitti_io import Difficulty, LabeledBox
@@ -28,6 +27,19 @@ class FrameMatchResult:
     # One (score, kind) record per non-ignored detection; kind is "tp"/"fp".
     det_records: List[Tuple[float, str]]
     n_in_scope_gt: int
+
+
+def class_ids(classes: Sequence[str]) -> Dict[str, int]:
+    """Each class name's id: its index in classes, the last for a repeat."""
+    return {name: i for i, name in enumerate(classes)}
+
+
+def _scoped(gts: Sequence[LabeledBox], class_name: Optional[str]) -> List[LabeledBox]:
+    """The ground-truth rows a class's matching compares, in input order: the
+    class's rows (all but DontCare for class_name None) and the DontCare rows
+    with a 3D box, not the 2D-only regions, whose h, w or l is 0 or less."""
+    return [g for g in gts if (not min(g.dims) <= 0.0 if g.class_name == "DontCare"
+                               else class_name is None or g.class_name == class_name)]
 
 
 def match_frame(
@@ -48,15 +60,9 @@ def match_frame(
         raise ValueError("iou_threshold must be in (0, 1]")
     if iou_kind not in ("bev", "3d"):
         raise ValueError("iou_kind must be 'bev' or '3d', got %r" % iou_kind)
-    in_scope: List[Box3D] = []
-    ignorable: List[Box3D] = []
-    for g in gts:
-        if g.class_name == "DontCare":
-            if min(g.dims) <= 0.0:
-                continue  # a 2D-only KITTI region (dims -1) has no box to hit
-            ignorable.append(g.box3d)
-        elif class_name is None or g.class_name == class_name:
-            (in_scope if g.difficulty <= level else ignorable).append(g.box3d)
+    in_scope, ignorable = [], []  # Box3D lists, each in input order
+    for g in _scoped(gts, class_name):
+        (in_scope if g.class_name != "DontCare" and g.difficulty <= level else ignorable).append(g.box3d)
     # looked up per call, so a patched metrics.iou_bev/iou_3d sees every call
     iou = iou_bev if iou_kind == "bev" else iou_3d
     unclaimed = dict(enumerate(in_scope))  # in-scope index -> box, in order
@@ -141,16 +147,13 @@ def cell_records(
     """Yield (class, kind, threshold, level, records, n_gt) per AP cell.
 
     Each cell matches every pair's predictions of the class against its
-    ground truth; records and n_gt are the totals over all pairs. A class's
-    id is its index in classes, the last one for a name given twice, and a
-    name given twice is matched once and its cells yielded again. Each
-    class's cells see only the class's ground-truth rows and the DontCare
-    rows, all that match_frame scopes for it, listed once per pair.
+    ground truth; records and n_gt are the totals over all pairs. Classes
+    are numbered by class_ids, and a name given twice is matched once and
+    its cells yielded again. Each class's cells see only the class's
+    predictions and the rows _scoped keeps for it, listed once per pair,
+    whose footprints are filled in one batch per pair and class.
     """
-    ids = {name: i for i, name in enumerate(classes)}
-    for preds, gts in pairs:  # one footprint batch per pair, of the boxes match_frame compares
-        fill_corners([*preds, *(g.box3d for g in gts if min(g.dims) > 0.0
-                                and (g.class_name in ids or g.class_name == "DontCare"))])
+    ids = class_ids(classes)
     kept = {}  # name -> its cells, for a name given again later
     for i, cls_name in enumerate(classes):
         if cls_name in kept:
@@ -158,9 +161,10 @@ def cell_records(
             continue
         kept[cls_name] = cells = [] if cls_name in classes[i + 1:] else None
         cid = ids[cls_name]
-        cls_pairs = [([p for p in preds if p.class_id == cid],
-                      [g for g in gts if g.class_name == cls_name or g.class_name == "DontCare"])
+        cls_pairs = [([p for p in preds if p.class_id == cid], _scoped(gts, cls_name))
                      for preds, gts in pairs]
+        for preds, gts in cls_pairs:
+            fill_corners([*preds, *(g.box3d for g in gts)])
         for kind in iou_kinds:
             for thr in iou_thresholds:
                 for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):

@@ -1271,12 +1271,16 @@ class TestBadLabels:
             csvs.append((tmp_path / (name + ".csv")).read_text())
         assert csvs[0] == csvs[1]
 
-    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
-    def test_dontcare_with_zero_dims_is_skipped(self, tmp_path, command):
-        # dims 0 0 0 parse for DontCare; the row has no box to hit, so every
-        # report is byte-equal to the one without it
+    @pytest.mark.parametrize("command, dims", [
+        pytest.param(command, dims, id=command + suffix)
+        for suffix, dims in (("", "0 0 0"), ("-w=-1", "1.5 -1 3.9"), ("-l=0", "1.5 1.6 0"))
+        for command in ("eval", "stream-eval", "streamer")])
+    def test_dontcare_with_zero_dims_is_skipped(self, tmp_path, command, dims):
+        # a DontCare row parses with any h, w or l of 0 or less, not only
+        # with all three; it has no box to hit, so every report is
+        # byte-equal to the one without it
         gt_text = format_tracking_labels(simple_world(3))
-        dontcare = "1 -1 DontCare -1 -1 -10 50 50 60 60 0 0 0 0 1.5 10 0\n"
+        dontcare = "1 -1 DontCare -1 -1 -10 50 50 60 60 %s 0 1.5 10 0\n" % dims
         det = write_labels(tmp_path / "det.txt", simple_world(3, score=0.9))
         reports = []
         for name, text in (("plain", gt_text), ("dontcare", gt_text + dontcare)):

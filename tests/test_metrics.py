@@ -223,12 +223,18 @@ _DET = st.builds(
 )
 
 
+# DontCare dims that make a 2D-only region: KITTI's -1s, zeros, and a
+# single non-positive h, w or l among positive ones
+_NO_BOX_DIMS = st.sampled_from([(-1.0, -1.0, -1.0), (0.0, 0.0, 0.0), (1.5, -1.0, 3.9),
+                                (0.0, 1.6, 3.9), (1.5, 1.6, 0.0)])
+
+
 @st.composite
 def _gt_rows(draw):
     class_name = draw(st.sampled_from(["Car", "Pedestrian", "Van", "DontCare"]))
     dims = dict(l=draw(st.sampled_from([3.9, 2.0, 0.8])))
     if class_name == "DontCare" and draw(st.booleans()):
-        dims = dict(h=-1.0, w=-1.0, l=-1.0)  # a 2D-only KITTI region
+        dims = dict(zip("hwl", draw(_NO_BOX_DIMS)))  # a 2D-only KITTI region
     return make_gt(
         class_name=class_name, x=draw(_CENTRE_X),
         bbox_height=draw(st.integers(24, 41)), occlusion=draw(st.integers(0, 3)),
@@ -295,16 +301,17 @@ def _mixed_gt_rows(draw):
     class_name = draw(st.sampled_from(["Car", "Pedestrian", "Cyclist", "Van", "DontCare"]))
     dims = dict(l=draw(st.sampled_from([3.9, 2.0, 0.8])))
     if class_name == "DontCare" and draw(st.booleans()):
-        dims = dict(h=-1.0, w=-1.0, l=-1.0)  # a 2D-only KITTI region
+        dims = dict(zip("hwl", draw(_NO_BOX_DIMS)))  # a 2D-only KITTI region
     return make_gt(class_name=class_name, x=draw(_CENTRE_X), bbox_height=draw(st.integers(24, 41)),
                    occlusion=draw(st.integers(0, 3)), **dims)
 
 
 class TestCellRecordsMatchesDefinition:
-    """cell_records, which hands each class's cells only the class's and the
-    DontCare ground truth, yields the cells of the full-list definition and
-    makes the same IoU calls in the same order, except that a name given
-    again is matched once: the cells of its repeat make no IoU call."""
+    """cell_records, which hands each class's cells only the ground truth
+    that metrics._scoped, the one scoping rule, keeps for the class, yields
+    the cells of the full-list definition and makes the same IoU calls in
+    the same order, except that a name given again is matched once: the
+    cells of its repeat make no IoU call."""
 
     @settings(max_examples=200, deadline=None)
     @given(
