@@ -61,7 +61,7 @@ def match_frame(
     if iou_kind not in ("bev", "3d"):
         raise ValueError("iou_kind must be 'bev' or '3d', got %r" % iou_kind)
     in_scope, ignorable = [], []  # Box3D lists, each in input order
-    for g in _scoped(gts, class_name):
+    for g in _scoped(gts, class_name) if gts else ():  # most classes miss most frames
         (in_scope if g.class_name != "DontCare" and g.difficulty <= level else ignorable).append(g.box3d)
     # looked up per call, so a patched metrics.iou_bev/iou_3d sees every call
     iou = iou_bev if iou_kind == "bev" else iou_3d

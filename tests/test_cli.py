@@ -870,7 +870,8 @@ class TestFootprintCache:
     def test_one_corner_build_per_box(self, tmp_path, monkeypatch):
         # two overlapping cars, so every detection/ground-truth pair of the
         # 12 Car cells and their PR dump reaches the polygon clip; all four
-        # footprints are built once, in the frame pair's one batch
+        # footprints are built once, in the frame pair's one Car batch (the
+        # other classes' batches are empty)
         world = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0) for i in range(2)]}
         dets = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0, score=0.9 - 0.1 * i)
                     for i in range(2)]}
