@@ -96,7 +96,8 @@ def run(path: str, old: str, new: str, tests) -> str:
             return "ERROR: the old text occurs %d times" % text.count(old)
         with open(target, "w") as f:
             f.write(text.replace(old, new))
-        env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+        path = [os.path.join(copy, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", *tests], cwd=copy,
                               env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     if proc.returncode in (0, 1):

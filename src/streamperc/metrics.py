@@ -37,7 +37,7 @@ def class_ids(classes: Sequence[str]) -> Dict[str, int]:
 def _scoped(gts: Sequence[LabeledBox], class_name: Optional[str]) -> List[LabeledBox]:
     """The ground-truth rows a class's matching compares, in input order: the
     class's rows (all but DontCare for class_name None) and the DontCare rows
-    with a 3D box, not the 2D-only regions, whose h, w or l is 0 or less."""
+    with a 3D box; a 2D-only DontCare region has an h, w or l of 0 or less."""
     return [g for g in gts if (not min(g.dims) <= 0.0 if g.class_name == "DontCare"
                                else class_name is None or g.class_name == class_name)]
 
