@@ -28,6 +28,8 @@ METRICS = "src/streamperc/metrics.py"
 SIM = "src/streamperc/streaming_sim.py"
 KITTI = "src/streamperc/kitti_io.py"
 MCL = "src/streamperc/motion_loss.py"
+GEOMETRY = "src/streamperc/geometry.py"
+CLI = "src/streamperc/cli.py"
 
 # (file, exact old text, new text, test files expected to kill the mutant)
 MUTANTS = [
@@ -76,6 +78,14 @@ MUTANTS = [
     (MCL, "grad_comp += tau * da", "grad_comp -= tau * da", ["tests/test_motion_loss.py"]),
     (MCL, "grad[3] *= math.cos(p[3] - g_t[3])", "grad[3] *= -math.cos(p[3] - g_t[3])",
      ["tests/test_motion_loss.py"]),
+    # no class hooks attribute lookup, which would slow every read of it
+    (GEOMETRY, "    @property\n    def corners(self)",
+     "    def __getattr__(self, name):\n        raise AttributeError(name)\n\n"
+     "    @property\n    def corners(self)", ["tests/test_geometry.py"]),
+    # fill_corners builds only the footprints not built before
+    (GEOMETRY, "[b for b in boxes if b._corners is None]", "list(boxes)", ["tests/test_cli.py"]),
+    # main turns the cyclic collector back on if it found it on
+    (CLI, "            gc.enable()", "            pass", ["tests/test_cli.py"]),
 ]
 
 # left out of each copy: version control, caches and bench scratch space

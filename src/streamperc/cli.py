@@ -7,6 +7,12 @@ or underscores). Files, the latency trace among them, are flags only.
 Exit codes: 0 ok, 2 usage, 3 data error, 4 numerical error. Each command
 returns its files ({path: bytes}) and its stdout text; main writes the
 files all or none, then prints the text.
+
+main pauses the cyclic garbage collector while a command runs and then
+restores the caller's setting. The label, box and record objects a command
+builds form no reference cycles, so collecting would only scan them; the
+few cycles a command leaves (the closures of json's indenting encoder) are
+as many on 3 frames as on 300, and are freed at the next collection.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import contextlib
 import csv
 import errno
 import functools
+import gc
 import io
 import json
 import os
@@ -411,6 +418,8 @@ def _publish(files: Dict[str, bytes]) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         cfg = read_config_file(args.config) if args.config else {}
         # Flag > config file > default, once per option of the command; sorted, so
@@ -432,6 +441,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -69,17 +69,17 @@ class Box3D:
         object.__setattr__(self, "bev_area", w * l)
         object.__setattr__(self, "volume", h * w * l)
         object.__setattr__(self, "bev_diagonal", math.hypot(w, l))
+        object.__setattr__(self, "_corners", None)  # set by fill_corners
         # id(b) -> (b, area of this footprint clipped by b's)
         object.__setattr__(self, "_overlaps", {})
 
-    def __getattr__(self, name):
-        # Reached only for an attribute the box lacks. Box3D.corners, the
-        # bev_corners rows as a tuple of (x, z) float pairs, is built here
-        # on first use unless fill_corners built it before.
-        if name != "corners":
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        fill_corners((self,))
-        return object.__getattribute__(self, "corners")
+    @property
+    def corners(self) -> tuple:
+        """The bev_corners rows as a tuple of (x, z) float pairs, built on
+        first read unless fill_corners built it before."""
+        if self._corners is None:
+            fill_corners((self,))
+        return self._corners
 
 
 def bev_corners(box: Box3D) -> np.ndarray:
@@ -130,21 +130,11 @@ def bev_footprints(boxes: Sequence[Box3D]) -> np.ndarray:
 
 def fill_corners(boxes: Iterable[Box3D]) -> None:
     """Set Box3D.corners on each box that lacks it, from one bev_footprints
-    batch.
-
-    object.__getattribute__ skips Box3D.__getattr__, which would build the
-    corners. Reading or writing vars(box) instead would give each box an
-    instance dict, 64 bytes more.
-    """
-    todo = []
-    for b in boxes:
-        try:
-            object.__getattribute__(b, "corners")
-        except AttributeError:
-            todo.append(b)
+    batch."""
+    todo = [b for b in boxes if b._corners is None]
     if todo:
         for b, pts in zip(todo, bev_footprints(todo).tolist()):
-            object.__setattr__(b, "corners", tuple(map(tuple, pts)))
+            object.__setattr__(b, "_corners", tuple(map(tuple, pts)))
 
 
 def polygon_area(vertices: np.ndarray) -> float:

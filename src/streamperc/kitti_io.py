@@ -54,6 +54,7 @@ class LabeledBox:
 
     def __post_init__(self):
         object.__setattr__(self, "difficulty", difficulty_of(self))
+        object.__setattr__(self, "_box3d", None)  # set by the box3d property
 
     @property
     def bbox_height(self) -> float:
@@ -70,14 +71,13 @@ class LabeledBox:
             track_id=tid,
         )
 
-    def __getattr__(self, name):
-        # Reached only for an attribute the label lacks. box3d, to_box3d()
-        # with class id 0, is built on first use and kept as Box3D.corners is.
-        if name != "box3d":
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        box = self.to_box3d()
-        object.__setattr__(self, "box3d", box)
-        return box
+    @property
+    def box3d(self) -> Box3D:
+        """to_box3d() with class id 0, built on first read and kept as
+        Box3D.corners is."""
+        if self._box3d is None:
+            object.__setattr__(self, "_box3d", self.to_box3d())
+        return self._box3d
 
 
 def difficulty_of(gt: LabeledBox) -> Difficulty:

@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import math
 import os
@@ -1401,6 +1402,67 @@ class TestOneParserPerProcess:
             assert cli.main(argv) == 0
             in_process.append((capsys.readouterr().out.encode(), outputs(name)))
         assert in_process == alone
+
+
+class TestCollectorPause:
+    """main pauses the cyclic garbage collector while a command runs and
+    restores the caller's setting on every way out; the cycles a command
+    leaves for the collector are as many on 3 frames as on 300."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("outcome", ["ok", "data-error", "numerical-error"])
+    def test_exit_code_keeps_the_setting(self, tmp_path, capsys, collecting, outcome):
+        world = {f: [make_gt(frame=f, x=1.0 * f)] for f in range(4)}
+        dets = {f: [make_gt(frame=f, x=1.0 * f, score=0.9)] for f in range(4)}
+        gt = write_labels(tmp_path / "gt.txt", world)
+        det = write_labels(tmp_path / "det.txt", dets)
+        argv, rc = ["eval", "--gt", gt, "--det", det, "--output", str(tmp_path / "r")], 0
+        if outcome == "data-error":
+            with open(gt, "a") as f:
+                f.write("0 0 Car\n")
+            rc = 3
+        elif outcome == "numerical-error":  # the diverging filter of TestStreamer
+            argv[0] = "streamer"
+            argv += ["--interval-ms", "1e150", "--latency-ms", "0"]
+            rc = 4
+        assert cli.main(argv) == rc
+        assert gc.isenabled() is collecting
+
+    def test_exception_keeps_the_setting(self, tmp_path, monkeypatch, collecting):
+        def fail(path):
+            raise RuntimeError("not a data error")
+
+        monkeypatch.setattr(cli, "_load_label_map", fail)
+        with pytest.raises(RuntimeError, match="not a data error"):
+            cli.main(command_argv(tmp_path, "eval"))
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
+    def test_cycles_left_do_not_grow_with_the_input(self, tmp_path, capsys, command):
+        # with the collector off, gc.collect() after main counts every
+        # unreachable object in a cycle that the command left behind; the
+        # first run warms up, since the first main call of a process also
+        # builds the parser and leaves that garbage once
+        was, found = gc.isenabled(), []
+        gc.disable()
+        try:
+            for n in (3, 3, 300):
+                gt = write_labels(tmp_path / ("gt%d.txt" % n), simple_world(n))
+                det = write_labels(tmp_path / ("det%d.txt" % n), simple_world(n, score=0.9))
+                gc.collect()
+                assert cli.main([command, "--gt", gt, "--det", det,
+                                 "--output", str(tmp_path / ("r%d" % n))]) == 0
+                found.append(gc.collect())
+        finally:
+            if was:
+                gc.enable()
+        assert found[1] == found[2]
 
 
 def test_cli_imports_numpy_and_the_stdlib_only():
