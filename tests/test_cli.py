@@ -1417,7 +1417,7 @@ class TestCollectorPause:
         (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("outcome", ["ok", "data-error", "numerical-error"])
-    def test_exit_code_keeps_the_setting(self, tmp_path, capsys, collecting, outcome):
+    def test_exit_code_keeps_the_setting(self, tmp_path, collecting, outcome):
         world = {f: [make_gt(frame=f, x=1.0 * f)] for f in range(4)}
         dets = {f: [make_gt(frame=f, x=1.0 * f, score=0.9)] for f in range(4)}
         gt = write_labels(tmp_path / "gt.txt", world)
@@ -1444,7 +1444,7 @@ class TestCollectorPause:
         assert gc.isenabled() is collecting
 
     @pytest.mark.parametrize("command", ["eval", "stream-eval", "streamer"])
-    def test_cycles_left_do_not_grow_with_the_input(self, tmp_path, capsys, command):
+    def test_cycles_left_do_not_grow_with_the_input(self, tmp_path, command):
         # with the collector off, gc.collect() after main counts every
         # unreachable object in a cycle that the command left behind; the
         # first run warms up, since the first main call of a process also
