@@ -30,6 +30,7 @@ KITTI = "src/streamperc/kitti_io.py"
 MCL = "src/streamperc/motion_loss.py"
 GEOMETRY = "src/streamperc/geometry.py"
 CLI = "src/streamperc/cli.py"
+FORECAST = "src/streamperc/forecast.py"
 
 # (file, exact old text, new text, test files expected to kill the mutant)
 MUTANTS = [
@@ -64,15 +65,24 @@ MUTANTS = [
     (METRICS, "N_RECALL_POSITIONS = 40", "N_RECALL_POSITIONS = 41", ["tests/test_metrics.py"]),
     # each difficulty tier's bounds are inclusive: a least height, a most
     # occlusion and a most truncation
-    (KITTI, "gt.bbox_height >= min_h", "gt.bbox_height > min_h", ["tests/test_metrics.py"]),
-    (KITTI, "gt.occlusion <= max_occ", "gt.occlusion < max_occ", ["tests/test_metrics.py"]),
-    (KITTI, "gt.truncation <= max_trunc", "gt.truncation < max_trunc", ["tests/test_metrics.py"]),
+    (KITTI, "height >= min_h", "height > min_h", ["tests/test_metrics.py"]),
+    (KITTI, "occlusion <= max_occ", "occlusion < max_occ", ["tests/test_metrics.py"]),
+    (KITTI, "truncation <= max_trunc", "truncation < max_trunc", ["tests/test_metrics.py"]),
     # the evaluation range is closed at both ends
     (KITTI, "x0 <= b.location[0] <= x1", "x0 < b.location[0] <= x1", ["tests/test_kitti_io.py"]),
+    (KITTI, "y0 <= b.location[1]", "y0 < b.location[1]", ["tests/test_kitti_io.py"]),
+    (KITTI, "b.location[1] <= y1", "b.location[1] < y1", ["tests/test_kitti_io.py"]),
     (KITTI, "z0 <= b.location[2] <= z1", "z0 <= b.location[2] < z1", ["tests/test_kitti_io.py"]),
     # the Kalman update moves the mean towards the measurement
-    ("src/streamperc/forecast.py", "mean = s.mean + k @ innovation",
-     "mean = s.mean - k @ innovation", ["tests/test_forecast.py"]),
+    (FORECAST, "mean = s.mean + k @ innovation", "mean = s.mean - k @ innovation",
+     ["tests/test_forecast.py"]),
+    # the Streamer associates a track and a detection at exactly ASSOCIATION_IOU ...
+    (FORECAST, "if -neg_iou < threshold", "if -neg_iou <= threshold", ["tests/test_forecast.py"]),
+    # ... and a track survives MAX_MISSES unmatched steps
+    (FORECAST, "if t.misses <= MAX_MISSES:", "if t.misses < MAX_MISSES:",
+     ["tests/test_forecast.py"]),
+    # only the frames the schedule processes have their detections boxed
+    (CLI, "if ev.processed and ev.frame in dets", "if ev.frame in dets", ["tests/test_cli.py"]),
     # the MCL gradient: the acceleration term adds, and the yaw chain rule
     # multiplies by +cos
     (MCL, "grad_comp += tau * da", "grad_comp -= tau * da", ["tests/test_motion_loss.py"]),

@@ -216,10 +216,11 @@ def cmd_eval(args):
     """eval, stream-eval and streamer. Per sequence, simulate the worker on
     frames 0 to the last labelled frame of either file, every sequence
     taking the first n_frames entries of the one latency trace; note the
-    ground-truth frames with no detection line; range-filter both sides
-    unless --no-range-filter. Then pair each ground-truth instant j with the
-    latest finished output (eval's schedule has zero latency) or, for
-    streamer, with the Streamer's forecast to t_j, also dumped as rows of
+    ground-truth frames with no detection line; range-filter the ground
+    truth, and the detections of the frames the schedule processes (eval's,
+    of zero latency, processes all), unless --no-range-filter. Then pair each
+    ground-truth instant j with the latest finished output or, for streamer,
+    with the Streamer's forecast to t_j, also dumped as rows of
     _forecasts.txt."""
     class_ids, config = _label_options(args)
     streamer = args.mode == "streamer"
@@ -237,10 +238,11 @@ def cmd_eval(args):
                 n_frames, args.interval_ms, latencies[:n_frames], skip_stale=args.skip_stale
             )
             missing_frames.extend({"sequence": name, "frame": k} for k in sorted(gts) if k not in dets)
-            if not args.no_range_filter:
-                gts = {k: apply_range_filter(v) for k, v in gts.items()}
-                dets = {k: apply_range_filter(v) for k, v in dets.items()}
-            outputs = {k: _boxes_to_preds(v, class_ids) for k, v in dets.items()}
+            keep = list if args.no_range_filter else apply_range_filter
+            gts = {k: keep(v) for k, v in gts.items()}
+            # pairing and the trackers read only the processed frames' detections
+            outputs = {ev.frame: _boxes_to_preds(keep(dets[ev.frame]), class_ids)
+                       for ev in schedule.events if ev.processed and ev.frame in dets}
             if not streamer:
                 pairs.extend(streaming_sim.pair_stream(schedule, outputs, gts))
                 continue

@@ -51,8 +51,9 @@ class TrackState:
         return TrackState(self.id, mean, covariance, self.hits, self.misses,
                           self.score, self.class_id, self.last_measurement)
 
-    def to_box(self) -> Box3D:
-        m = self.mean.tolist()  # plain floats, also in a divergence message
+    def to_box(self, mean: Optional[np.ndarray] = None) -> Box3D:
+        """The box of this state's mean, or of mean (a forecast of it) if given."""
+        m = (self.mean if mean is None else mean).tolist()  # plain floats, also in a message
         try:
             return Box3D(
                 center=(m[0], m[1], m[2]),
@@ -144,15 +145,11 @@ def associate(
     """
     if not tracks or not dets:
         return [], list(range(len(tracks))), list(range(len(dets)))
-    mat = iou_matrix([t.to_box() for t in tracks], list(dets), kind="bev")
-    order = sorted(
-        ((i, j) for i in range(len(tracks)) for j in range(len(dets))),
-        key=lambda ij: (-mat[ij[0], ij[1]], ij[0], ij[1]),
-    )
+    rows = iou_matrix([t.to_box() for t in tracks], list(dets), kind="bev").tolist()
     matches = []
     used_t, used_d = set(), set()
-    for i, j in order:
-        if mat[i, j] < threshold or mat[i, j] <= 0.0:
+    for neg_iou, i, j in sorted((-v, i, j) for i, row in enumerate(rows) for j, v in enumerate(row)):
+        if -neg_iou < threshold or neg_iou >= 0.0:
             break
         if i in used_t or j in used_d:
             continue
@@ -229,8 +226,7 @@ def forecast_boxes(tracks: Sequence[TrackState], dt: float) -> List[Box3D]:
     if dt < 0:
         raise ValueError("dt must be >= 0")
     f = _transition(dt)
-    return [t.with_estimate(f @ t.mean, t.covariance).to_box() if dt > 0 else t.to_box()
-            for t in tracks]
+    return [t.to_box(f @ t.mean if dt > 0 else None) for t in tracks]
 
 
 def stream_forecasts(s: StreamSchedule, dets: Dict[int, List[Box3D]],

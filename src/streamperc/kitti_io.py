@@ -27,7 +27,8 @@ class Difficulty(IntEnum):
     IGNORED = 3
 
 
-# (min bbox height px, max occlusion, max truncation) per level.
+# (min bbox height px, max occlusion, max truncation) per level, in the
+# order difficulty_of tries them.
 DIFFICULTY_THRESHOLDS = {
     Difficulty.EASY: (40.0, 0, 0.15),
     Difficulty.MODERATE: (25.0, 1, 0.30),
@@ -81,13 +82,10 @@ class LabeledBox:
 
 
 def difficulty_of(gt: LabeledBox) -> Difficulty:
-    for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
-        min_h, max_occ, max_trunc = DIFFICULTY_THRESHOLDS[level]
-        if (
-            gt.bbox_height >= min_h
-            and gt.occlusion <= max_occ
-            and gt.truncation <= max_trunc
-        ):
+    """The first tier, EASY to HARD, whose bounds the box meets."""
+    height, occlusion, truncation = gt.bbox_height, gt.occlusion, gt.truncation
+    for level, (min_h, max_occ, max_trunc) in DIFFICULTY_THRESHOLDS.items():
+        if height >= min_h and occlusion <= max_occ and truncation <= max_trunc:
             return level
     return Difficulty.IGNORED
 

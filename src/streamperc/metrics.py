@@ -60,12 +60,15 @@ def match_frame(
         raise ValueError("iou_threshold must be in (0, 1]")
     if iou_kind not in ("bev", "3d"):
         raise ValueError("iou_kind must be 'bev' or '3d', got %r" % iou_kind)
-    in_scope, ignorable = [], []  # Box3D lists, each in input order
+    unclaimed, ignorable = {}, []  # in-scope index -> Box3D, and Box3Ds; each in input order
     for g in _scoped(gts, class_name) if gts else ():  # most classes miss most frames
-        (in_scope if g.class_name != "DontCare" and g.difficulty <= level else ignorable).append(g.box3d)
+        if g.class_name != "DontCare" and g.difficulty <= level:
+            unclaimed[len(unclaimed)] = g.box3d
+        else:
+            ignorable.append(g.box3d)
+    n_in_scope = len(unclaimed)
     # looked up per call, so a patched metrics.iou_bev/iou_3d sees every call
     iou = iou_bev if iou_kind == "bev" else iou_3d
-    unclaimed = dict(enumerate(in_scope))  # in-scope index -> box, in order
     records = []
     # a stable sort, so tied scores keep their input order
     for det in sorted(preds, key=attrgetter("score"), reverse=True):
@@ -83,7 +86,7 @@ def match_frame(
                 break
         else:
             records.append((det.score, "fp"))
-    return FrameMatchResult(det_records=records, n_in_scope_gt=len(in_scope))
+    return FrameMatchResult(det_records=records, n_in_scope_gt=n_in_scope)
 
 
 def pr_curve(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from streamperc import cli, feature_flow, geometry, metrics, streaming_sim
 from streamperc.grid_ops import fgrd_bytes, read_fgrd, write_fgrd
-from streamperc.kitti_io import format_tracking_labels
+from streamperc.kitti_io import LabeledBox, format_tracking_labels
 
 from conftest import make_gt, textured_grid, translate_grid
 
@@ -598,6 +598,68 @@ class TestStreamer:
         assert "np.float64" not in captured.err
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["det.txt", "gt.txt"]
+
+
+class TestSkippedFrames:
+    """With a 100 ms interval, 150 ms latency and --skip-stale, frame 0
+    arrives at 0 ms and finishes at 150 ms. Frame 1 arrives at 100 ms, while
+    the worker is busy, and is skipped; frame 2 arrives at 200 ms to an idle
+    worker and finishes at 350 ms, frame 3 arrives at 300 ms and is skipped,
+    and so on: the worker processes the even frames only."""
+
+    FLAGS = ["--latency-ms", "150", "--skip-stale"]
+
+    @staticmethod
+    def detections(other_odd=False):
+        """A moving and a still Car per frame; with other_odd, the odd frames
+        hold other valid rows instead: a Car elsewhere, a Pedestrian and a
+        Car beyond the range crop."""
+        frames = {}
+        for f in range(10):
+            if other_odd and f % 2:
+                frames[f] = [make_gt(frame=f, track_id=7, x=-10.0, z=30.0, score=0.99),
+                             make_gt(frame=f, track_id=8, class_name="Pedestrian", x=3.0,
+                                     z=12.0, h=1.7, w=0.6, l=0.8, score=0.7),
+                             make_gt(frame=f, track_id=9, z=80.0, score=0.5)]
+            else:
+                frames[f] = [make_gt(frame=f, track_id=0, x=0.5 * f, z=20.0, score=0.9),
+                             make_gt(frame=f, track_id=1, x=6.0, z=15.0, score=0.8)]
+        return frames
+
+    def reports(self, tmp_path, command, flags, other_odd):
+        gt = write_labels(tmp_path / "gt.txt", {f: [make_gt(frame=f, track_id=0, x=0.5 * f, z=20.0),
+                                                    make_gt(frame=f, track_id=1, x=6.0, z=15.0)]
+                                                for f in range(10)})
+        det = write_labels(tmp_path / "det.txt", self.detections(other_odd))
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        assert cli.main([command, "--gt", gt, "--det", det, "--output", str(out / "r"), *flags]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", ["stream-eval", "streamer"])
+    def test_skipped_detections_never_reach_a_report(self, tmp_path, command):
+        same = self.reports(tmp_path, command, self.FLAGS, other_odd=False)
+        assert len(same) == 3  # .json, .csv and _pr.dat or _forecasts.txt
+        assert self.reports(tmp_path, command, self.FLAGS, other_odd=True) == same
+        # processed, the other rows would change the reports
+        assert (self.reports(tmp_path, command, ["--latency-ms", "0"], other_odd=True)
+                != self.reports(tmp_path, command, ["--latency-ms", "0"], other_odd=False))
+
+    @pytest.mark.parametrize("command, frames", [
+        ("eval", range(10)), ("stream-eval", range(0, 10, 2)), ("streamer", range(0, 10, 2))])
+    def test_detections_boxed_only_for_processed_frames(self, tmp_path, monkeypatch, command,
+                                                        frames):
+        boxed = []
+        orig = LabeledBox.to_box3d
+
+        def counting(self, class_id=0):
+            if self.score is not None:  # a detection, not ground truth
+                boxed.append(self.frame_index)
+            return orig(self, class_id)
+
+        monkeypatch.setattr(LabeledBox, "to_box3d", counting)
+        self.reports(tmp_path, command, [] if command == "eval" else self.FLAGS, other_odd=False)
+        assert boxed == [f for f in frames for _ in range(2)]
 
 
 class TestStreamingGap:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from streamperc import forecast
 from streamperc.forecast import (
+    ASSOCIATION_IOU,
     MAX_MISSES,
     MEAS_DIM,
     MEASUREMENT_VARIANCE,
@@ -25,7 +26,7 @@ from streamperc.forecast import (
     streamer_step,
 )
 
-from streamperc.geometry import normalize_angle
+from streamperc.geometry import iou_3d, iou_bev, iou_matrix, normalize_angle
 from streamperc.streaming_sim import build_schedule, finished_by_instant
 
 from conftest import make_box
@@ -180,6 +181,75 @@ class TestAssociate:
         matches, _, _ = associate([t0, t1], [d0, d1], 0.1)
         assert sorted(matches) == [(0, 0), (1, 1)]
 
+    def test_iou_exactly_at_association_threshold(self):
+        # yaw-0 6.5 x 1 m footprints 3.5 m apart along their length overlap
+        # by 3 m^2 of a 10 m^2 union: 0.3, the literal, as BEV and 3D IoU
+        det = make_box(x=3.5, w=1.0, l=6.5)
+        track = new_track(0, make_box(x=0.0, w=1.0, l=6.5))
+        assert iou_bev(track.to_box(), det) == iou_3d(track.to_box(), det) == ASSOCIATION_IOU
+        assert associate([track], [det], ASSOCIATION_IOU) == ([(0, 0)], [], [])
+        # a new track has zero velocity, so its prediction stays in place and
+        # the step updates it instead of spawning a second track
+        stepped = streamer_step([track], [det], 0.1)
+        assert [(t.id, t.hits) for t in stepped] == [(0, 2)]
+
+
+def old_associate(tracks, dets, threshold):
+    """associate as it read with the IoU matrix indexed per pair by the sort
+    key, kept as the oracle of the list-based version."""
+    if not tracks or not dets:
+        return [], list(range(len(tracks))), list(range(len(dets)))
+    mat = iou_matrix([t.to_box() for t in tracks], list(dets), kind="bev")
+    order = sorted(
+        ((i, j) for i in range(len(tracks)) for j in range(len(dets))),
+        key=lambda ij: (-mat[ij[0], ij[1]], ij[0], ij[1]),
+    )
+    matches = []
+    used_t, used_d = set(), set()
+    for i, j in order:
+        if mat[i, j] < threshold or mat[i, j] <= 0.0:
+            break
+        if i in used_t or j in used_d:
+            continue
+        matches.append((i, j))
+        used_t.add(i)
+        used_d.add(j)
+    unmatched_t = [i for i in range(len(tracks)) if i not in used_t]
+    unmatched_d = [j for j in range(len(dets)) if j not in used_d]
+    return matches, unmatched_t, unmatched_d
+
+
+# 6.5 x 1 m footprints on a 3.5 m lattice along x: neighbours score exactly
+# 0.3 and a box at -x mirrors one at +x, so IoUs tie; z = 40 is out of reach
+# of every other row, so its track or detection has an all-zero row.
+_LATTICE = [(x, z) for x in (-7.0, -3.5, 0.0, 3.5, 7.0) for z in (0.0, 40.0)]
+_PLACE = st.one_of(st.sampled_from(_LATTICE),
+                   st.tuples(st.floats(-8.0, 8.0), st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def association_inputs(draw):
+    """(track boxes, detections, threshold): zero to four tracks, zero to
+    five detections drawn with repeats, yaw 0 or pi (the same footprint)."""
+    def boxes(n):
+        return [make_box(x=x, z=z, w=1.0, l=6.5, yaw=yaw)
+                for (x, z), yaw in draw(st.lists(st.tuples(_PLACE, st.sampled_from([0.0, np.pi])),
+                                                 max_size=n))]
+    tracks = boxes(4)
+    dets = boxes(3)
+    dets += draw(st.lists(st.sampled_from(dets), max_size=2)) if dets else []
+    threshold = draw(st.sampled_from([ASSOCIATION_IOU, 0.1, 0.5, 1.0]))
+    return tracks, draw(st.permutations(dets)), threshold
+
+
+class TestAssociateMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(association_inputs())
+    def test_same_matches(self, inputs):
+        boxes, dets, threshold = inputs
+        tracks = [new_track(i, b) for i, b in enumerate(boxes)]
+        assert associate(tracks, dets, threshold) == old_associate(tracks, dets, threshold)
+
 
 class TestStreamerStep:
     def test_spawns_tracks(self):
@@ -261,6 +331,14 @@ class TestForecastBoxes:
         tracks[0].mean[7] = 10.0
         boxes = forecast_boxes(tracks, 0.1)
         assert boxes[0].center[0] == pytest.approx(1.0)
+
+    def test_diverged_forecast_is_arithmetic_error(self):
+        # the state itself is a valid box; only its advanced mean is not
+        tracks = streamer_step([], [make_box(x=0.0)], 0.1)
+        tracks[0].mean[7] = np.nan
+        assert tracks[0].to_box().center[0] == 0.0
+        with pytest.raises(ArithmeticError, match="no longer a valid box"):
+            forecast_boxes(tracks, 0.1)
 
 
 class TestStreamerTracker:

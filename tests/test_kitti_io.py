@@ -200,6 +200,56 @@ class TestRangeFilter:
         assert len(out) < len(boxes)
 
 
+def old_difficulty_of(gt):
+    """difficulty_of as it read with a table lookup and three property reads
+    per tier, kept as the oracle of the version that reads each field once."""
+    for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
+        min_h, max_occ, max_trunc = kitti_io.DIFFICULTY_THRESHOLDS[level]
+        if (
+            gt.bbox_height >= min_h
+            and gt.occlusion <= max_occ
+            and gt.truncation <= max_trunc
+        ):
+            return level
+    return Difficulty.IGNORED
+
+
+NAN = float("nan")
+
+
+@st.composite
+def tier_fields(draw):
+    """(bbox top, bbox height, occlusion, truncation): the tier bounds
+    exactly (the tops keep top + height - top exact), values either side of
+    them and NaN, which the parser rejects but a LabeledBox built directly
+    holds."""
+    top = draw(st.sampled_from([0.0, 100.0, 173.25, NAN]))
+    height = draw(st.one_of(st.sampled_from([25.0, 40.0, 24.999999, 40.000001, 0.0, NAN]),
+                            st.floats(-10.0, 100.0)))
+    occlusion = draw(st.one_of(st.integers(-1, 3), st.just(NAN)))
+    truncation = draw(st.one_of(st.sampled_from([0.0, 0.15, 0.30, 0.50, 0.1500001, NAN]),
+                                st.floats(-0.5, 1.5)))
+    return top, height, occlusion, truncation
+
+
+class TestDifficultyMatchesOldDifficulty:
+    @settings(max_examples=500, deadline=None)
+    @given(tier_fields())
+    def test_same_tier(self, fields):
+        top, height, occlusion, truncation = fields
+        box = LabeledBox(0, 0, "Car", truncation, occlusion, 0.0, (0.0, top, 10.0, top + height),
+                         (1.5, 1.6, 3.9), (0.0, 1.5, 10.0), 0.0)
+        assert box.difficulty is kitti_io.difficulty_of(box) is old_difficulty_of(box)
+
+    def test_bounds_are_inclusive(self):
+        # each tier's least height, most occlusion and most truncation
+        for level, (min_h, max_occ, max_trunc) in kitti_io.DIFFICULTY_THRESHOLDS.items():
+            box = LabeledBox(0, 0, "Car", max_trunc, max_occ, 0.0, (0.0, 100.0, 10.0, 100.0 + min_h),
+                             (1.5, 1.6, 3.9), (0.0, 1.5, 10.0), 0.0)
+            assert box.bbox_height == min_h
+            assert box.difficulty is old_difficulty_of(box) is level
+
+
 def old_parse_tracking_labels(text):
     """A verbatim copy of parse_tracking_labels as it stood before it was
     made one pass per line: the oracle of TestParserMatchesOldParser."""
