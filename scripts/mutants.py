@@ -92,6 +92,10 @@ MUTANTS = [
     (GEOMETRY, "    @property\n    def corners(self)",
      "    def __getattr__(self, name):\n        raise AttributeError(name)\n\n"
      "    @property\n    def corners(self)", ["tests/test_geometry.py"]),
+    # the shoelace starts from the closing edge (last vertex to first)
+    (GEOMETRY, "px, pz = vertices[-1]\n    for cx, cz in vertices:",
+     "px, pz = vertices[0]\n    for cx, cz in [*vertices[1:], vertices[0]]:",
+     ["tests/test_geometry.py"]),
     # fill_corners builds only the footprints not built before
     (GEOMETRY, "[b for b in boxes if b._corners is None]", "list(boxes)", ["tests/test_cli.py"]),
     # main turns the cyclic collector back on if it found it on

@@ -88,40 +88,35 @@ def bev_corners(box: Box3D) -> np.ndarray:
     return bev_footprints((box,))[0]
 
 
-# Local corners (forward, left) in CCW order: (l, w) times these is
-# (+-l/2, +-w/2) exactly.
-_HALF_SIGNS = np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
-
-
 def bev_footprints(boxes: Sequence[Box3D]) -> np.ndarray:
     """BEV footprint corners (x, z) of each box, counter-clockwise, shape (N, 4, 2).
 
     Box i's footprint is l (along heading) by w, rotated by yaw about its
-    centre. One stacked ``local @ rot.T`` product and one translation add
-    make the same IEEE operations on the same operands as a product per box.
-    Corners whose shoelace is negative are reversed. Only rounding makes it
-    negative: with u = 2**-53 and M = max(|cx|, |cz|) + l + w >= every
-    |coordinate|, each coordinate is within 2uM of the exact rotation of the
-    footprint (area >= l*w*(1 - 4u)), which moves the shoelace by at most
-    4(l + w) * 2uM <= 8uM*M; evaluating it (two 4-term dot products of terms
-    <= M*M) adds at most 20uM*M. So it is positive once l*w > 30uM*M, about
-    3.3e-15 * M*M, and is evaluated only where l*w <= 1e-9 * (1 + M*M). The
-    1 keeps tiny footprints, where subnormals void relative error bounds, on
-    the test; an overflowing M*M is inf and skips nothing.
+    centre: local corner (a, b) = (+-l/2, +-w/2) goes to (a*c - b*s + cx,
+    a*s + b*c + cz), c = cos(yaw), s = sin(yaw), in Python floats, so each
+    operation is rounded on its own (no fused multiply-add). Corners whose
+    shoelace is negative are reversed. Only rounding makes it negative: with
+    u = 2**-53 and M = max(|cx|, |cz|) + l + w >= every |coordinate|, each
+    coordinate is within 2uM of the exact rotation of the footprint (area >=
+    l*w*(1 - 4u)), which moves the shoelace by at most 4(l + w) * 2uM <=
+    8uM*M; evaluating it (4 terms within 4uM*M each, added into partial sums
+    of at most 4, 6 and 8 M*M, then halved) adds at most 18uM*M. So it is
+    positive once l*w > 27uM*M, about 3.0e-15 * M*M, and is evaluated only
+    where l*w <= 1e-9 * (1 + M*M). The 1 keeps tiny footprints, where
+    subnormals void relative error bounds, on the test; an overflowing M*M
+    is inf and skips nothing.
     """
     rows, check = [], []
-    for i, b in enumerate(boxes):
-        cx, _, cz = b.center
-        _, w, l = b.dims
-        c, s = math.cos(b.yaw), math.sin(b.yaw)
+    for i, box in enumerate(boxes):
+        cx, _, cz = box.center
+        _, w, l = box.dims
         m = max(abs(cx), abs(cz)) + l + w
         if not l * w > 1e-9 * (1.0 + m * m):
             check.append(i)
-        rows += (c, -s, s, c, l, w, cx, cz)  # one flat list: numpy reads it faster
-    f = np.array(rows, dtype=float).reshape(-1, 8)
-    rot = f[:, :4].reshape(-1, 2, 2)
-    pts = (f[:, None, 4:6] * _HALF_SIGNS) @ rot.transpose(0, 2, 1)
-    pts += f[:, None, 6:8]
+        c, s, hl, hw = math.cos(box.yaw), math.sin(box.yaw), 0.5 * l, 0.5 * w
+        for a, b in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):  # (forward, left), CCW
+            rows += (a * c - b * s + cx, a * s + b * c + cz)  # one flat list: numpy reads it faster
+    pts = np.array(rows, dtype=float).reshape(-1, 4, 2)
     for i in check:
         if polygon_area(pts[i]) < 0:
             pts[i] = pts[i, ::-1].copy()
@@ -137,13 +132,18 @@ def fill_corners(boxes: Iterable[Box3D]) -> None:
             object.__setattr__(b, "_corners", tuple(map(tuple, pts)))
 
 
-def polygon_area(vertices: np.ndarray) -> float:
-    """Signed shoelace area; positive for counter-clockwise order."""
-    v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
+def polygon_area(vertices: Sequence) -> float:
+    """Signed shoelace area of an (n, 2) array or a list of (x, z) pairs,
+    positive for counter-clockwise order: px*cz - pz*cx summed left to right
+    over the edges (px, pz) -> (cx, cz), from the closing one (last to first)."""
+    if len(vertices) < 3:
         return 0.0
-    nxt = np.concatenate((v[1:], v[:1]))
-    return 0.5 * float(np.dot(v[:, 0], nxt[:, 1]) - np.dot(v[:, 1], nxt[:, 0]))
+    s = 0.0
+    px, pz = vertices[-1]
+    for cx, cz in vertices:
+        s += px * cz - pz * cx
+        px, pz = cx, cz
+    return float(0.5 * s)
 
 
 def _clip_area(poly: Sequence, clip: Sequence) -> float:
@@ -154,8 +154,7 @@ def _clip_area(poly: Sequence, clip: Sequence) -> float:
     side value is a vertex's signed distance from the edge times the edge
     length, as is the on-edge tolerance. A new vertex, where the edge's line
     crosses a subject edge, is clamped to that edge, since nearly parallel
-    lines can meet far outside it. The area is polygon_area's: its BLAS dot
-    products add in an order of their own, which a Python sum would not keep.
+    lines can meet far outside it. The area is polygon_area's, in its order.
     """
     x1, z1 = clip[-1]
     for x2, z2 in clip:
@@ -183,7 +182,7 @@ def _clip_area(poly: Sequence, clip: Sequence) -> float:
         poly, x1, z1 = out, x2, z2
     if len(poly) < 3:
         return 0.0
-    return abs(polygon_area(np.asarray(poly)))
+    return abs(polygon_area(poly))
 
 
 def _bev_intersection(a: Box3D, b: Box3D) -> float:

@@ -1,9 +1,11 @@
 import dataclasses
 import gc
+import hashlib
 import importlib
 import inspect
 import math
 import pkgutil
+import random
 
 import numpy as np
 import pytest
@@ -31,7 +33,11 @@ from conftest import make_box
 # relative=False it is when its cross product with the edge is at least
 # -_EDGE_EPS, the earlier rule, which keeps vertices up to _EDGE_EPS / (edge
 # length) m outside. A new vertex lies where the clip line crosses the
-# subject edge, clamped to that edge.
+# subject edge, clamped to that edge. The float order is README's, written
+# out here in plain Python floats rather than taken from the package: a
+# footprint corner is a*c - b*s + cx, a*s + b*c + cz with no fused
+# multiply-add, and a shoelace adds px*cz - pz*cx left to right from the
+# closing edge (last vertex to first).
 _EDGE_EPS = 1e-9
 _DEGENERATE_AREA = 1e-12
 
@@ -40,29 +46,22 @@ def ref_bev_corners(box):
     cx, _, cz = box.center
     _, w, l = box.dims
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    local = np.array(
-        [
-            [l / 2.0, w / 2.0],
-            [-l / 2.0, w / 2.0],
-            [-l / 2.0, -w / 2.0],
-            [l / 2.0, -w / 2.0],
-        ]
-    )
-    rot = np.array([[c, -s], [s, c]])
-    pts = local @ rot.T
-    pts[:, 0] += cx
-    pts[:, 1] += cz
+    local = [(l / 2.0, w / 2.0), (-l / 2.0, w / 2.0), (-l / 2.0, -w / 2.0), (l / 2.0, -w / 2.0)]
+    pts = np.array([(a * c - b * s + cx, a * s + b * c + cz) for a, b in local])
     if ref_polygon_area(pts) < 0:
         pts = pts[::-1]
     return pts
 
 
 def ref_polygon_area(vertices):
-    v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
+    pts = [(float(x), float(z)) for x, z in vertices]
+    if len(pts) < 3:
         return 0.0
-    x, z = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)))
+    total = 0.0
+    for k in range(len(pts)):  # k = 0 is the closing edge, pts[-1] -> pts[0]
+        (px, pz), (cx, cz) = pts[k - 1], pts[k]
+        total += px * cz - pz * cx
+    return 0.5 * total
 
 
 def ref_clip_polygon(subject, cp1, cp2, relative):
@@ -493,7 +492,7 @@ _FOOTPRINT_BOXES = st.one_of(
 
 class TestBevFootprints:
     def test_bytes_match_per_box_reference(self):
-        # ref_bev_corners is the one-box product as it stood before batching
+        # ref_bev_corners rotates one box in README's float order
         flipped = []
 
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -554,9 +553,65 @@ class TestIouMatchesReference:
         assert polygon_area(vertices).hex() == ref_polygon_area(vertices).hex()
 
 
+class TestStatedFloatOrder:
+    """The IoU and footprint bits of a fixed, seeded set of pairs hash to the
+    committed constants on any host.
+
+    README states the float order: footprint corners rotated elementwise with
+    no fused multiply-add, and a left-to-right shoelace from the closing
+    edge. Neither calls BLAS, so the hashes do not depend on the OpenBLAS
+    kernel (run this class with OPENBLAS_CORETYPE set to Prescott, Haswell or
+    Sandybridge to see it). Each yaw's cosine and sine come from math.cos and
+    math.sin, that is from the platform's libm, so a libm that rounds one of
+    them differently fails this test too, as does any change to the order.
+    """
+
+    IOU_SHA256 = "ddd7259f1660bb981ced9a0500ca8fdbedab131f0bc188b37df45e516f917082"
+    FOOTPRINT_SHA256 = "09e473a6b094f413086cbc00777a16d97610e3ec4acd94a37eecfda196774d06"
+
+    @staticmethod
+    def pairs(n=3000, seed=7):
+        """n pairs of overlapping or nearby boxes; every 20th pair is two
+        footprints of 1 nm to 1 mm sides 1e2 to 1e11 m out, which take the
+        reversal check, and their partners shifted by up to a side."""
+        rng = random.Random(seed)
+        yaw = lambda: rng.uniform(-math.pi, math.pi)  # noqa: E731
+        out = []
+        for i in range(n):
+            if i % 20 == 0:
+                r, t = 10.0 ** rng.uniform(2.0, 11.0), rng.uniform(0.0, 2.0 * math.pi)
+                dims = (1.0, 10.0 ** rng.uniform(-9.0, -3.0), 10.0 ** rng.uniform(-9.0, -3.0))
+                x, z, step = r * math.cos(t), r * math.sin(t), max(dims[1:])
+                a = _box(x, 0.0, z, dims, yaw())
+                b = _box(x + rng.uniform(-step, step), 0.5, z + rng.uniform(-step, step), dims, yaw())
+            else:
+                x, y, z = rng.uniform(-40.0, 40.0), rng.uniform(-2.0, 3.0), rng.uniform(0.0, 80.0)
+                a = _box(x, y, z, tuple(rng.uniform(0.2, 6.0) for _ in range(3)), yaw())
+                b = _box(x + rng.uniform(-3.0, 3.0), y + rng.uniform(-2.0, 2.0), z + rng.uniform(-3.0, 3.0),
+                         tuple(rng.uniform(0.2, 6.0) for _ in range(3)), yaw())
+            out.append((a, b))
+        return out
+
+    def test_bits_match_committed_hashes(self):
+        pairs = self.pairs()
+        ious = np.array([(iou_bev(a, b), iou_3d(a, b)) for a, b in pairs])
+        footprints = geometry.bev_footprints([box for pair in pairs for box in pair])
+        assert np.count_nonzero(ious[:, 0]) > len(pairs) // 2  # most footprints overlap
+        assert hashlib.sha256(ious.tobytes()).hexdigest() == self.IOU_SHA256
+        assert hashlib.sha256(footprints.tobytes()).hexdigest() == self.FOOTPRINT_SHA256
+        # the two input types polygon_area's callers pass give the same bits
+        for pts in footprints[::7]:
+            area = polygon_area(pts)
+            assert type(area) is float
+            assert area.hex() == polygon_area([tuple(p) for p in pts.tolist()]).hex()
+        assert type(polygon_area([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])) is float
+
+
 # Verbatim copies of the polygon clip as it stood before it was fused into
 # one geometry._clip_area (only the names are changed), the oracle of
-# TestFusedClipMatchesOldClip.
+# TestFusedClipMatchesOldClip. The old clip ended in the package's
+# polygon_area; here it ends in ref_polygon_area, README's stated shoelace,
+# so the oracle does not call the code it checks.
 def old_clip_polygon(subject, cp1, cp2):
     """Clip a polygon against the half-plane left of the edge cp1->cp2.
 
@@ -601,7 +656,7 @@ def old_clip_area(poly, clip):
         poly = old_clip_polygon(poly, clip[i - 1], clip[i])
     if len(poly) < 3:
         return 0.0
-    return abs(polygon_area(np.asarray(poly)))
+    return abs(ref_polygon_area(poly))
 
 
 # Side coordinates of axis-aligned rectangles. Against an edge on 0 (or on
