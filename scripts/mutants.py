@@ -96,8 +96,8 @@ MUTANTS = [
     (GEOMETRY, "px, pz = vertices[-1]\n    for cx, cz in vertices:",
      "px, pz = vertices[0]\n    for cx, cz in [*vertices[1:], vertices[0]]:",
      ["tests/test_geometry.py"]),
-    # fill_corners builds only the footprints not built before
-    (GEOMETRY, "[b for b in boxes if b._corners is None]", "list(boxes)", ["tests/test_cli.py"]),
+    # a box builds its footprint once, on the first read of corners
+    (GEOMETRY, "if self._corners is None:", "if True:", ["tests/test_geometry.py"]),
     # main turns the cyclic collector back on if it found it on
     (CLI, "            gc.enable()", "            pass", ["tests/test_cli.py"]),
 ]

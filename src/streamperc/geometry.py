@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,9 +42,9 @@ class Box3D:
 
     y is the *bottom* center per KITTI convention; the box spans [y-h, y]
     vertically. Boxes are immutable: the scalars every IoU reads are set at
-    construction, the BEV footprint on first use or by fill_corners (a
-    batch of boxes at once), and the clipped intersection with each other
-    box on first use; all are kept on the box.
+    construction, the BEV footprint on first read of corners (the box's
+    first clip), and the clipped intersection with each other box on first
+    use; all are kept on the box.
     """
 
     center: tuple  # (x, y, z) meters
@@ -69,16 +69,16 @@ class Box3D:
         object.__setattr__(self, "bev_area", w * l)
         object.__setattr__(self, "volume", h * w * l)
         object.__setattr__(self, "bev_diagonal", math.hypot(w, l))
-        object.__setattr__(self, "_corners", None)  # set by fill_corners
+        object.__setattr__(self, "_corners", None)  # set by the corners property
         # id(b) -> (b, area of this footprint clipped by b's)
         object.__setattr__(self, "_overlaps", {})
 
     @property
     def corners(self) -> tuple:
-        """The bev_corners rows as a tuple of (x, z) float pairs, built on
-        first read unless fill_corners built it before."""
+        """The bev_corners rows as a tuple of (x, z) float pairs, built by
+        _footprint on first read."""
         if self._corners is None:
-            fill_corners((self,))
+            object.__setattr__(self, "_corners", _footprint(self))
         return self._corners
 
 
@@ -89,9 +89,16 @@ def bev_corners(box: Box3D) -> np.ndarray:
 
 
 def bev_footprints(boxes: Sequence[Box3D]) -> np.ndarray:
-    """BEV footprint corners (x, z) of each box, counter-clockwise, shape (N, 4, 2).
+    """BEV footprint corners (x, z) of each box, counter-clockwise, shape
+    (N, 4, 2): the boxes' Box3D.corners, stacked."""
+    return np.array([b.corners for b in boxes], dtype=float).reshape(-1, 4, 2)
 
-    Box i's footprint is l (along heading) by w, rotated by yaw about its
+
+def _footprint(box: Box3D) -> tuple:
+    """Box3D.corners' value: the four BEV footprint corners (x, z) of box,
+    counter-clockwise, as a tuple of float pairs.
+
+    The footprint is l (along heading) by w, rotated by yaw about its
     centre: local corner (a, b) = (+-l/2, +-w/2) goes to (a*c - b*s + cx,
     a*s + b*c + cz), c = cos(yaw), s = sin(yaw), in Python floats, so each
     operation is rounded on its own (no fused multiply-add). Corners whose
@@ -106,30 +113,15 @@ def bev_footprints(boxes: Sequence[Box3D]) -> np.ndarray:
     subnormals void relative error bounds, on the test; an overflowing M*M
     is inf and skips nothing.
     """
-    rows, check = [], []
-    for i, box in enumerate(boxes):
-        cx, _, cz = box.center
-        _, w, l = box.dims
-        m = max(abs(cx), abs(cz)) + l + w
-        if not l * w > 1e-9 * (1.0 + m * m):
-            check.append(i)
-        c, s, hl, hw = math.cos(box.yaw), math.sin(box.yaw), 0.5 * l, 0.5 * w
-        for a, b in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):  # (forward, left), CCW
-            rows += (a * c - b * s + cx, a * s + b * c + cz)  # one flat list: numpy reads it faster
-    pts = np.array(rows, dtype=float).reshape(-1, 4, 2)
-    for i in check:
-        if polygon_area(pts[i]) < 0:
-            pts[i] = pts[i, ::-1].copy()
+    cx, _, cz = box.center
+    _, w, l = box.dims
+    c, s, hl, hw = math.cos(box.yaw), math.sin(box.yaw), 0.5 * l, 0.5 * w
+    pts = tuple([(a * c - b * s + cx, a * s + b * c + cz)
+                 for a, b in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))])  # (forward, left), CCW
+    m = max(abs(cx), abs(cz)) + l + w
+    if not l * w > 1e-9 * (1.0 + m * m) and polygon_area(pts) < 0:
+        pts = pts[::-1]
     return pts
-
-
-def fill_corners(boxes: Iterable[Box3D]) -> None:
-    """Set Box3D.corners on each box that lacks it, from one bev_footprints
-    batch."""
-    todo = [b for b in boxes if b._corners is None]
-    if todo:
-        for b, pts in zip(todo, bev_footprints(todo).tolist()):
-            object.__setattr__(b, "_corners", tuple(map(tuple, pts)))
 
 
 def polygon_area(vertices: Sequence) -> float:
@@ -248,7 +240,6 @@ def iou_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D], kind: str = "
         fn = iou_3d
     else:
         raise ValueError("kind must be 'bev' or '3d', got %r" % kind)
-    fill_corners([*boxes_a, *boxes_b])
     out = np.zeros((len(boxes_a), len(boxes_b)))
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):

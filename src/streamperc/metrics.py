@@ -14,7 +14,7 @@ from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .geometry import Box3D, fill_corners, iou_bev, iou_3d
+from .geometry import Box3D, iou_bev, iou_3d
 from .kitti_io import Difficulty, LabeledBox
 
 N_RECALL_POSITIONS = 40
@@ -153,8 +153,8 @@ def cell_records(
     ground truth; records and n_gt are the totals over all pairs. Classes
     are numbered by class_ids, and a name given twice is matched once and
     its cells yielded again. Each class's cells see only the class's
-    predictions and the rows _scoped keeps for it, listed once per pair,
-    whose footprints are filled in one batch per pair and class.
+    predictions and the rows _scoped keeps for it, listed once per pair;
+    a box builds its footprint on its first clip.
     """
     ids = class_ids(classes)
     kept = {}  # name -> its cells, for a name given again later
@@ -166,8 +166,6 @@ def cell_records(
         cid = ids[cls_name]
         cls_pairs = [([p for p in preds if p.class_id == cid], _scoped(gts, cls_name))
                      for preds, gts in pairs]
-        for preds, gts in cls_pairs:
-            fill_corners([*preds, *(g.box3d for g in gts)])
         for kind in iou_kinds:
             for thr in iou_thresholds:
                 for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):

@@ -932,25 +932,32 @@ class TestLkbb:
 class TestFootprintCache:
     def test_one_corner_build_per_box(self, tmp_path, monkeypatch):
         # two overlapping cars, so every detection/ground-truth pair of the
-        # 12 Car cells and their PR dump reaches the polygon clip; all four
-        # footprints are built once, in the frame pair's one Car batch (the
-        # other classes' batches are empty)
-        world = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0) for i in range(2)]}
+        # 12 Car cells and their PR dump reaches the polygon clip, and two
+        # boxes inside the range that no clip reads: a lowest-scored Car
+        # detection beyond circle reach of every car, and a Pedestrian with
+        # no Pedestrian detection. Each box builds its footprint on its
+        # first clip, so the four cars build one each and the two others
+        # none.
+        far_det = make_gt(track_id=2, x=20.0, z=30.0, score=0.1)
+        pedestrian = make_gt(track_id=3, class_name="Pedestrian", x=-15.0, z=40.0,
+                             h=1.7, w=0.6, l=0.8)
+        world = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0) for i in range(2)] + [pedestrian]}
         dets = {0: [make_gt(track_id=i, x=1.5 * i, z=10.0, score=0.9 - 0.1 * i)
-                    for i in range(2)]}
+                    for i in range(2)] + [far_det]}
         gt = write_labels(tmp_path / "gt.txt", world)
         det = write_labels(tmp_path / "det.txt", dets)
         built = []
-        orig = geometry.bev_footprints
+        orig = geometry._footprint
 
-        def counting(boxes):
-            built.append([id(b) for b in boxes])
-            return orig(boxes)
+        def counting(box):
+            built.append(box)
+            return orig(box)
 
-        monkeypatch.setattr(geometry, "bev_footprints", counting)
+        monkeypatch.setattr(geometry, "_footprint", counting)
         assert cli.main(["eval", "--gt", gt, "--det", det,
                          "--output", str(tmp_path / "r")]) == 0
-        assert len(built) == 1 and len(built[0]) == len(set(built[0])) == 4
+        assert len(built) == len(set(map(id, built))) == 4
+        assert all(b.class_id == 0 and b.center[0] in (0.0, 1.5) for b in built)
         payload = json.loads((tmp_path / "r.json").read_text())
         assert all(r["ap"] == pytest.approx(1.0) for r in payload["results"]
                    if r["class"] == "Car")

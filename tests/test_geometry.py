@@ -492,15 +492,17 @@ _FOOTPRINT_BOXES = st.one_of(
 
 class TestBevFootprints:
     def test_bytes_match_per_box_reference(self):
-        # ref_bev_corners rotates one box in README's float order
+        # ref_bev_corners rotates one box in README's float order; some boxes
+        # read their corners before the batch, so it stacks cached ones too
         flipped = []
 
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-        @given(st.lists(_FOOTPRINT_BOXES, min_size=1, max_size=12))
-        def check(boxes):
+        @given(st.lists(_FOOTPRINT_BOXES, min_size=1, max_size=12), st.data())
+        def check(boxes, data):
+            for box in data.draw(st.lists(st.sampled_from(boxes), max_size=len(boxes))):
+                box.corners
             got = geometry.bev_footprints(boxes)
             assert got.shape == (len(boxes), 4, 2)
-            geometry.fill_corners(boxes)
             for box, pts in zip(boxes, got):
                 ref = ref_bev_corners(box)
                 assert pts.tobytes() == ref.tobytes()
@@ -509,6 +511,8 @@ class TestBevFootprints:
 
         check()
         assert any(flipped), "no footprint took the reversal"
+        empty = geometry.bev_footprints([])
+        assert empty.shape == (0, 4, 2) and empty.dtype == float
 
 
 class TestIouMatchesReference:
@@ -782,6 +786,9 @@ class TestZeroOverlapShortcut:
         b = make_box(x=4.3, yaw=-0.4)
         for p, q in ((a, b), (b, a)):
             assert iou_bev(p, q) == 0.0 and iou_3d(p, q) == 0.0
+        self.assert_untouched(a, b)
+        for kind in ("bev", "3d"):
+            assert iou_matrix([a], [b], kind).tolist() == [[0.0]]
         self.assert_untouched(a, b)
 
     def test_vertically_disjoint_memoises_nothing(self):
