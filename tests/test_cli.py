@@ -836,6 +836,10 @@ class TestMcl:
         pytest.param({4: [chain_car(4)]}, {2: [chain_car(2)]},
                      "--gt-tm2 holds frame 2; expected frame 3 (--gt-t holds frame 5)",
                      id="tm2-skips-a-frame"),
+        # the parser rejects a box beyond geometry.MAX_DIM and names its line
+        pytest.param({4: [chain_car(4, w=1e200, l=1e200)]}, {3: [chain_car(3)]},
+                     "line 1: dims must be positive and below 1e+06 m, got (1.5, 1e+200, 1e+200)",
+                     id="huge-dims"),
     ])
     def test_ambiguous_or_out_of_order_chain_is_data_error(self, tmp_path, capsys,
                                                             tm1, tm2, message):
@@ -1232,6 +1236,8 @@ BAD_INPUT_ROWS = {
                        "line 2: negative frame index -1"),
     "huge-frame": ("gt", 2, label_line(frame=1000000, track_id=1, x=6.0),
                    "line 2: frame index 1000000 is not below 1000000"),
+    "frame-1e12": ("gt", 2, label_line(frame=10**12, track_id=1, x=6.0),
+                   "line 2: frame index 1000000000000 is not below 1000000"),
     "16-fields": ("gt", 2, label_line(track_id=1, x=6.0).rsplit(" ", 1)[0],
                   "line 2: expected >=17 fields, got 16"),
     # a field after the score used to be dropped without a word
@@ -1287,9 +1293,12 @@ class TestBadLabels:
                 "--output", str(tmp_path / "r")]
         if name == "trace":
             argv += ["--latency-trace", str(tmp_path / "trace.txt")]
-        assert cli.main(argv) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("data error: " + message) and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not list(tmp_path.glob("r*"))
         # a malformed label file is rejected while parsing, before any
         # schedule is built: a huge frame index would size one
