@@ -76,6 +76,12 @@ MUTANTS = [
     # the Kalman update moves the mean towards the measurement
     (FORECAST, "mean = s.mean + k @ innovation", "mean = s.mean - k @ innovation",
      ["tests/test_forecast.py"]),
+    # ... with the yaw innovation wrapped to (-pi, pi] and the covariance in
+    # Joseph form
+    (FORECAST, "innovation[3] = normalize_angle(innovation[3])", "innovation[3] = innovation[3]",
+     ["tests/test_forecast.py"]),
+    (FORECAST, "cov = ikh @ s.covariance @ ikh.T + k @ _R @ k.T", "cov = ikh @ s.covariance",
+     ["tests/test_forecast.py"]),
     # the Streamer associates a track and a detection at exactly ASSOCIATION_IOU ...
     (FORECAST, "if -neg_iou < threshold", "if -neg_iou <= threshold", ["tests/test_forecast.py"]),
     # ... and a track survives MAX_MISSES unmatched steps
@@ -96,6 +102,20 @@ MUTANTS = [
     (GEOMETRY, "px, pz = vertices[-1]\n    for cx, cz in vertices:",
      "px, pz = vertices[0]\n    for cx, cz in [*vertices[1:], vertices[0]]:",
      ["tests/test_geometry.py"]),
+    # the clip keeps a vertex exactly the on-edge tolerance outside an edge,
+    # both as a vertex and when it decides whether a subject edge crosses
+    (GEOMETRY, "if sc >= tol:", "if sc > tol:", ["tests/test_geometry.py"]),
+    (GEOMETRY, "if (sc >= tol) != (sp >= tol):", "if (sc > tol) != (sp > tol):",
+     ["tests/test_geometry.py"]),
+    # the on-edge tolerance scales with the clip edge's length
+    (GEOMETRY, "tol = -_EDGE_EPS * math.hypot(ex, ez)", "tol = -_EDGE_EPS",
+     ["tests/test_geometry.py"]),
+    # a new vertex is clamped to its subject edge
+    (GEOMETRY, "t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t", "t = t",
+     ["tests/test_geometry.py"]),
+    # parallel edges that cross sides keep the subject edge's end, not its start
+    (GEOMETRY, "out.append((cx, cz))\n                else:",
+     "out.append((px, pz))\n                else:", ["tests/test_geometry.py"]),
     # a box builds its footprint once, on the first read of corners
     (GEOMETRY, "if self._corners is None:", "if True:", ["tests/test_geometry.py"]),
     # main turns the cyclic collector back on if it found it on

@@ -83,15 +83,9 @@ class Box3D:
 
 
 def bev_corners(box: Box3D) -> np.ndarray:
-    """Return the 4 BEV footprint corners (x, z), counter-clockwise: the
-    one-box case of bev_footprints."""
-    return bev_footprints((box,))[0]
-
-
-def bev_footprints(boxes: Sequence[Box3D]) -> np.ndarray:
-    """BEV footprint corners (x, z) of each box, counter-clockwise, shape
-    (N, 4, 2): the boxes' Box3D.corners, stacked."""
-    return np.array([b.corners for b in boxes], dtype=float).reshape(-1, 4, 2)
+    """Return the 4 BEV footprint corners (x, z), counter-clockwise, as a
+    (4, 2) array of box.corners."""
+    return np.array(box.corners)
 
 
 def _footprint(box: Box3D) -> tuple:

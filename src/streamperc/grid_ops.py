@@ -237,12 +237,17 @@ def transpose_conv2d(g: np.ndarray, spec: ConvSpec) -> np.ndarray:
 def fgrd_bytes(g: np.ndarray) -> bytes:
     """A grid in the flat FGRD binary format (little-endian float32)."""
     g = as_grid(g)
-    return FGRD_MAGIC + struct.pack("<4I", FGRD_VERSION, *g.shape) + g.astype("<f4").tobytes()
+    with np.errstate(over="ignore"):  # an entry beyond float32's range is rejected below
+        data = g.astype("<f4", order="C")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("grid entries must lie within float32's range")
+    return b"".join((FGRD_MAGIC, struct.pack("<4I", FGRD_VERSION, *g.shape), data))
 
 
 def write_fgrd(path, g: np.ndarray) -> None:
+    data = fgrd_bytes(g)  # before the open, so a rejected grid leaves the file as it was
     with open(path, "wb") as f:
-        f.write(fgrd_bytes(g))
+        f.write(data)
 
 
 def read_fgrd(path) -> np.ndarray:

@@ -389,7 +389,8 @@ class TestStreamerTracker:
 # The Kalman model as it was written with a configuration object, its
 # defaults inlined: a per-call noise model, a transition built in a loop and
 # a dataclasses.replace copy per change. Kept as the oracle of the
-# fixed-model code, which must reproduce it bit for bit.
+# fixed-model code, which must reproduce it bit for bit. Its update is
+# ref_kf_update_selector, the explicit-H definition above.
 
 
 def ref_process_noise():
@@ -429,21 +430,6 @@ def ref_kf_predict(s, dt):
     return replace(s, mean=mean, covariance=cov)
 
 
-def ref_kf_update(s, z):
-    z = np.asarray(z, dtype=float)
-    r = ref_measurement_noise()
-    innovation = z - s.mean[:MEAS_DIM]
-    innovation[3] = normalize_angle(innovation[3])
-    s_mat = s.covariance[:MEAS_DIM, :MEAS_DIM] + r
-    k = s.covariance[:, :MEAS_DIM] @ np.linalg.inv(s_mat)
-    mean = s.mean + k @ innovation
-    ikh = np.eye(STATE_DIM)
-    ikh[:, :MEAS_DIM] -= k
-    cov = ikh @ s.covariance @ ikh.T + k @ r @ k.T
-    cov = 0.5 * (cov + cov.T)
-    return replace(s, mean=mean, covariance=cov)
-
-
 def ref_streamer_step(tracks, dets, dt, alloc_id):
     predicted = [ref_kf_predict(t, dt) for t in tracks]
     matches, _, unmatched_d = associate(predicted, dets, 0.3)
@@ -451,7 +437,8 @@ def ref_streamer_step(tracks, dets, dt, alloc_id):
     for i, j in matches:
         det = dets[j]
         z = measurement_from_box(det)
-        t = ref_kf_update(predicted[i], z)
+        mean, cov = ref_kf_update_selector(predicted[i], z)
+        t = replace(predicted[i], mean=mean, covariance=cov)
         if t.hits == 1 and t.last_measurement is not None:
             vel = (z[:4] - t.last_measurement[:4]) / dt
             vel[3] = normalize_angle(z[3] - t.last_measurement[3]) / dt

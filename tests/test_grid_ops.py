@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from streamperc.grid_ops import (
     bilinear_resize,
     bilinear_sample,
     conv2d,
+    fgrd_bytes,
     max_pool,
     read_fgrd,
     transpose_conv2d,
@@ -463,3 +465,26 @@ class TestFgrd:
         assert raw[:4] == b"FGRD"
         assert np.frombuffer(raw[4:20], dtype="<u4").tolist() == [1, 2, 3, 4]
         assert len(raw) == 20 + 2 * 3 * 4 * 4
+
+    def test_entry_beyond_float32_range_rejected(self):
+        # such an entry used to be written as inf, with a numpy RuntimeWarning
+        top = float(np.finfo(np.float32).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (1e39, -1e39):
+                g = np.zeros((2, 2, 1))
+                g[1, 0, 0] = value
+                with pytest.raises(ValueError, match="float32"):
+                    fgrd_bytes(g)
+            g = np.array([[[top], [-top]]])
+            assert np.frombuffer(fgrd_bytes(g)[20:], dtype="<f4").tolist() == [top, -top]
+
+    def test_rejected_grid_leaves_file_unchanged(self, tmp_path):
+        # write_fgrd used to open, so truncate, the file before checking the grid
+        path = tmp_path / "g.fgrd"
+        write_fgrd(path, np.ones((2, 2, 1)))
+        before = path.read_bytes()
+        for bad in (np.full((2, 2, 1), np.nan), np.full((2, 2, 1), 1e39)):
+            with pytest.raises(ValueError):
+                write_fgrd(path, bad)
+            assert path.read_bytes() == before
